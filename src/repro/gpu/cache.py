@@ -21,8 +21,6 @@ import numpy as np
 from repro.gpu.device import DeviceSpec
 from repro.utils.sorting import stable_argsort
 
-_NEVER = -(1 << 62)
-
 
 class ReuseWindowCache:
     """Approximate LRU: hit iff the sector recurs within ``window`` accesses.
@@ -30,24 +28,18 @@ class ReuseWindowCache:
     The reuse *distance in accesses* is a standard surrogate for the LRU
     stack distance; it is exact when every access touches a distinct line
     and optimistic otherwise, which the contention divisor compensates
-    for.  Fully vectorized: one stable argsort per batch.
+    for.  The model's whole state is its last ``window`` accesses (older
+    ones can never produce a hit), kept as a ``tail`` of sector ids.
+    Fully vectorized: one stable argsort over ``tail + batch``.
     """
 
     def __init__(self, window: int):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = int(window)
-        self._last = np.empty(0, dtype=np.int64)
-        self._clock = 0
+        self.tail = np.empty(0, dtype=np.int64)
         self.accesses = 0
         self.hits = 0
-
-    def _ensure_capacity(self, max_sector: int) -> None:
-        if max_sector >= len(self._last):
-            new_size = max(1024, int(max_sector * 1.5) + 1)
-            grown = np.full(new_size, _NEVER, dtype=np.int64)
-            grown[: len(self._last)] = self._last
-            self._last = grown
 
     def access(self, sectors: np.ndarray) -> np.ndarray:
         """Process an access stream; returns a boolean hit mask."""
@@ -57,39 +49,38 @@ class ReuseWindowCache:
             return np.zeros(0, dtype=bool)
         if sectors.min() < 0:
             raise ValueError("negative sector id")
-        self._ensure_capacity(int(sectors.max()))
-
-        positions = self._clock + np.arange(n, dtype=np.int64)
-        # Previous occurrence of each sector: within the batch via a
-        # stable sort (equal sectors stay in stream order), falling back
-        # to the persistent last-access table for first occurrences.
-        order = stable_argsort(sectors)
-        sorted_sectors = sectors[order]
-        sorted_positions = self._clock + order
-        prev_sorted = self._last[sorted_sectors]
-        same_as_left = np.empty(n, dtype=bool)
-        same_as_left[0] = False
-        np.equal(sorted_sectors[1:], sorted_sectors[:-1], out=same_as_left[1:])
-        prev_sorted[same_as_left] = sorted_positions[:-1][same_as_left[1:]]
-        prev = np.empty(n, dtype=np.int64)
-        prev[order] = prev_sorted
-
-        hits = (positions - prev) <= self.window
-        # Fancy assignment applies in index order, so the latest position
-        # of a duplicated sector wins — matching true LRU update order.
-        self._last[sectors] = positions
-        self._clock += n
+        t = len(self.tail)
+        stream = np.concatenate((self.tail, sectors)) if t else sectors
+        # A stable sort keeps equal sectors in stream order, so each
+        # element's left neighbour in sorted order is its previous
+        # occurrence; it hits when that lies <= window positions back.
+        order = stable_argsort(stream)
+        ordered = stream[order]
+        hit_sorted = np.empty(len(stream), dtype=bool)
+        hit_sorted[0] = False
+        np.equal(ordered[1:], ordered[:-1], out=hit_sorted[1:])
+        hit_sorted[1:] &= (order[1:] - order[:-1]) <= self.window
+        hits_all = np.empty(len(stream), dtype=bool)
+        hits_all[order] = hit_sorted
+        hits = hits_all[t:]
+        self.tail = stream[-self.window:].copy()
         self.accesses += n
         self.hits += int(hits.sum())
         return hits
+
+    def fast_forward(self, accesses: int, hits: int, tail: np.ndarray) -> None:
+        """Account for ``accesses`` further accesses whose hit count is
+        already known and whose last ``window`` sectors are ``tail``."""
+        self.tail = tail
+        self.accesses += accesses
+        self.hits += hits
 
     @property
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
     def reset(self) -> None:
-        self._last.fill(_NEVER)
-        self._clock = 0
+        self.tail = np.empty(0, dtype=np.int64)
         self.accesses = 0
         self.hits = 0
 
@@ -142,10 +133,36 @@ class HierarchyResult:
     l2_accesses: int
     l2_hits: int
     dram_transactions: int
+    sector_bytes: int = 32
 
     @property
     def dram_bytes(self) -> int:
-        return self.dram_transactions * 32
+        return self.dram_transactions * self.sector_bytes
+
+
+@dataclass(frozen=True)
+class ReplaySummary:
+    """What a hierarchy with windows ``(W1, W2)`` needs to replay one
+    fixed stream without re-sorting it.
+
+    A reuse-window cache's state is its last ``window`` accesses, so an
+    access at stream position ``>= window`` hits or misses regardless of
+    what came before the stream.  For a stream ``S`` that leaves only
+    ``S[:W1]`` live at L1; of the L1-miss substream past ``W1`` (``sub``)
+    only ``sub[:W2]`` is live at L2.  Everything else is stored here:
+    static hit counts, ``sub``'s head and length, and both final tails.
+    """
+
+    l1_hits: int
+    l1_tail: np.ndarray
+    l2_head: np.ndarray
+    l2_len: int
+    l2_hits: int
+    l2_tail: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.l1_tail.nbytes + self.l2_head.nbytes + self.l2_tail.nbytes
 
 
 class CacheHierarchy:
@@ -166,19 +183,81 @@ class CacheHierarchy:
         self.unified = ReuseWindowCache(l1_window)
         self.l2 = ReuseWindowCache(l2_window)
 
-    def access(self, sectors: np.ndarray) -> HierarchyResult:
+    def access(self, sectors: np.ndarray, plan=None) -> HierarchyResult:
+        """Route ``sectors`` through L1 -> L2.
+
+        ``plan`` is the :class:`~repro.gpu.traceplan.TracePlan` whose
+        ``stream`` is ``sectors``, when the caller has one.  Its second
+        use builds a :class:`ReplaySummary` (stored on the plan); later
+        uses replay it in O(window) instead of O(len(stream)), with
+        identical results and cache state.  Streams no longer than the
+        L1 window always take the full pass.
+        """
         sectors = np.asarray(sectors, dtype=np.int64)
+        w1 = self.unified.window
+        if plan is None or len(sectors) <= w1:
+            return self._access(sectors)[0]
+        key = (w1, self.l2.window)
+        replays = plan.replays
+        summary = replays.get(key)
+        if summary is not None:
+            return self._replay(sectors, summary)
+        result, l1_hits, l2_hits = self._access(sectors)
+        if key in replays:
+            replays[key] = self._summarize(sectors, l1_hits, l2_hits)
+        else:
+            replays[key] = None  # first use: one-shot plans pay nothing
+        return result
+
+    def _access(self, sectors: np.ndarray):
         l1_hits = self.unified.access(sectors)
         to_l2 = sectors[~l1_hits]
         l2_hits = self.l2.access(to_l2)
-        dram = int((~l2_hits).sum())
+        result = self._result(len(sectors), int(l1_hits.sum()), len(to_l2),
+                              int(l2_hits.sum()))
+        return result, l1_hits, l2_hits
+
+    def _result(self, accesses, l1_hits, l2_accesses, l2_hits):
         return HierarchyResult(
-            accesses=len(sectors),
-            unified_hits=int(l1_hits.sum()),
-            l2_accesses=len(to_l2),
-            l2_hits=int(l2_hits.sum()),
-            dram_transactions=dram,
+            accesses=accesses,
+            unified_hits=l1_hits,
+            l2_accesses=l2_accesses,
+            l2_hits=l2_hits,
+            dram_transactions=l2_accesses - l2_hits,
+            sector_bytes=self.spec.sector_bytes,
         )
+
+    def _summarize(self, sectors, l1_hits, l2_hits) -> ReplaySummary:
+        """The replay summary, read off one full pass over ``sectors``."""
+        w1, w2 = self.unified.window, self.l2.window
+        static_l1 = l1_hits[w1:]
+        sub = sectors[w1:][~static_l1]
+        # L2 saw the live head's misses first, then ``sub``.
+        head_misses = w1 - int(l1_hits[:w1].sum())
+        l2_head = sub[:w2].copy()
+        return ReplaySummary(
+            l1_hits=int(static_l1.sum()),
+            l1_tail=sectors[-w1:].copy(),
+            l2_head=l2_head,
+            l2_len=len(sub),
+            l2_hits=int(l2_hits[head_misses + w2:].sum()),
+            l2_tail=sub[-w2:].copy() if len(sub) > w2 else sub[:0],
+        )
+
+    def _replay(self, sectors, s: ReplaySummary) -> HierarchyResult:
+        w1 = self.unified.window
+        head = sectors[:w1]
+        head_hits = self.unified.access(head)
+        self.unified.fast_forward(len(sectors) - w1, s.l1_hits, s.l1_tail)
+        to_l2 = np.concatenate((head[~head_hits], s.l2_head))
+        l2_hits = int(self.l2.access(to_l2).sum())
+        if s.l2_len > len(s.l2_head):
+            self.l2.fast_forward(s.l2_len - len(s.l2_head), s.l2_hits,
+                                 s.l2_tail)
+            l2_hits += s.l2_hits
+        head_misses = len(to_l2) - len(s.l2_head)
+        return self._result(len(sectors), w1 - head_misses + s.l1_hits,
+                            head_misses + s.l2_len, l2_hits)
 
     def reset(self) -> None:
         self.unified.reset()

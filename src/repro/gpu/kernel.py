@@ -82,7 +82,8 @@ def _finalize(
 ) -> KernelTiming:
     """Roofline combination + counter assembly shared by all kernels."""
     compute_ms = spec.cycles_to_ms(sm_cycles_max)
-    dram_bytes = hier_result.dram_bytes + extra_dram_write_bytes
+    dram_read_bytes = hier_result.dram_transactions * spec.sector_bytes
+    dram_bytes = dram_read_bytes + extra_dram_write_bytes
     dram_ms = spec.dram_time_ms(dram_bytes)
     l2_ms = spec.l2_time_ms(hier_result.l2_accesses * spec.sector_bytes)
     launch_ms = spec.kernel_launch_us * 1e-3
@@ -101,7 +102,7 @@ def _finalize(
         unified_cache_hits=int(hier_result.unified_hits),
         l2_accesses=int(hier_result.l2_accesses),
         l2_hits=int(hier_result.l2_hits),
-        dram_read_bytes=float(hier_result.dram_bytes),
+        dram_read_bytes=float(dram_read_bytes),
         dram_write_bytes=float(extra_dram_write_bytes),
         shared_load_bytes=float(shared_load_bytes),
     )
@@ -122,10 +123,6 @@ class _ScaledHierarchyResult:
     l2_accesses: float
     l2_hits: float
     dram_transactions: float
-
-    @property
-    def dram_bytes(self) -> float:
-        return self.dram_transactions * 32
 
 
 def simulate_vertex_kernel(
@@ -245,9 +242,9 @@ def simulate_vertex_kernel(
     degrees = plan.degrees
     n_threads = plan.n_threads
 
-    # The cache hierarchy is stateful across launches, so the stream is
-    # replayed through it even when the plan itself was memoized.
-    hier = caches.access(plan.stream)
+    # The cache hierarchy is stateful across launches, so every launch
+    # goes through it; a memoized plan lets it replay in O(window).
+    hier = caches.access(plan.stream, plan=plan)
     load_transactions = len(plan.stream) * scale
     hier_scaled = _ScaledHierarchyResult(
         accesses=hier.accesses * scale,

@@ -25,13 +25,15 @@ every stream ran its own sorted dedup inside
 Warp sampling (the ``TRACE_CAP`` bound) happens inside the plan, so a
 plan fully describes the traced launch.  Plans are immutable and safe
 to reuse: :class:`repro.core.session.EngineSession` memoizes them per
-frontier so repeated queries skip the whole pipeline (the cache models
-still *consume* the stream every launch — they are stateful).
+frontier so repeated queries skip the whole pipeline.  The stateful
+cache hierarchy still sees every launch, but from a plan's second use
+on it replays a small per-plan summary (``TracePlan.replays``) in
+O(window) rather than re-sorting the whole stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,7 +99,10 @@ class TracePlan:
     (possibly warp-sampled) traced subset the instruction model runs
     over; ``scale`` rescales traced counts back to the full launch;
     ``threads_full``/``warps_full`` are the *exact* launched thread and
-    warp counts (sampling never distorts them).
+    warp counts (sampling never distorts them).  ``replays`` is filled
+    lazily by :meth:`repro.gpu.cache.CacheHierarchy.access`: one
+    :class:`~repro.gpu.cache.ReplaySummary` per ``(L1, L2)`` window pair,
+    a pure function of ``stream`` and the windows.
     """
 
     stream: np.ndarray
@@ -109,6 +114,7 @@ class TracePlan:
     threads_full: int
     warps_full: int
     fingerprint: tuple
+    replays: dict = field(default_factory=dict, compare=False, repr=False)
 
     def check_compatible(self, fingerprint: tuple) -> None:
         """Reject reuse against a launch the plan was not built for."""
@@ -121,7 +127,8 @@ class TracePlan:
     @property
     def nbytes(self) -> int:
         """Approximate retained memory (for memo budgeting)."""
-        return self.stream.nbytes + self.degrees.nbytes
+        return self.stream.nbytes + self.degrees.nbytes + sum(
+            s.nbytes for s in self.replays.values() if s is not None)
 
 
 def plan_fingerprint(

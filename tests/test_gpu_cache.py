@@ -1,11 +1,18 @@
 """Tests for the cache models, including cross-validation of the
 reuse-window approximation against the exact LRU oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.gpu.cache import CacheHierarchy, ExactLRUCache, ReuseWindowCache
+from repro.gpu.cache import (
+    CacheHierarchy,
+    ExactLRUCache,
+    ReplaySummary,
+    ReuseWindowCache,
+)
 from repro.gpu.device import GTX_1080TI
 
 
@@ -245,3 +252,182 @@ class TestReuseWindowVsExactLRU:
         rw_hits, lru_hits = self._agree(stream, lines=8, batches=5)
         assert np.array_equal(rw_hits, lru_hits)
         assert rw_hits.sum() == 99
+
+
+# ----------------------------------------------------------------------
+# Tail state and O(window) plan replay against the last-access table
+# ----------------------------------------------------------------------
+
+class _LastTableCache:
+    """Reference reuse-window cache: an address-space-sized table of
+    each sector's last access time (the model's original form)."""
+
+    _NEVER = -(1 << 62)
+
+    def __init__(self, window):
+        self.window = window
+        self._last = np.empty(0, dtype=np.int64)
+        self._clock = 0
+        self.accesses = 0
+        self.hits = 0
+
+    def access(self, sectors):
+        sectors = np.asarray(sectors, dtype=np.int64)
+        n = len(sectors)
+        if n == 0:
+            return np.zeros(0, dtype=bool)
+        top = int(sectors.max())
+        if top >= len(self._last):
+            grown = np.full(top + 1, self._NEVER, dtype=np.int64)
+            grown[: len(self._last)] = self._last
+            self._last = grown
+        positions = self._clock + np.arange(n, dtype=np.int64)
+        order = np.argsort(sectors, kind="stable")
+        ordered = sectors[order]
+        prev_sorted = self._last[ordered]
+        same = np.zeros(n, dtype=bool)
+        same[1:] = ordered[1:] == ordered[:-1]
+        prev_sorted[same] = (self._clock + order)[:-1][same[1:]]
+        prev = np.empty(n, dtype=np.int64)
+        prev[order] = prev_sorted
+        hits = (positions - prev) <= self.window
+        self._last[sectors] = positions
+        self._clock += n
+        self.accesses += n
+        self.hits += int(hits.sum())
+        return hits
+
+    def reset(self):
+        self._last.fill(self._NEVER)
+        self._clock = 0
+        self.accesses = 0
+        self.hits = 0
+
+
+class _Plan:
+    """The two TracePlan attributes the hierarchy reads."""
+
+    def __init__(self, stream):
+        self.stream = np.asarray(stream, dtype=np.int64)
+        self.replays = {}
+
+
+def _hierarchy(w1, w2):
+    h = CacheHierarchy(GTX_1080TI)
+    h.unified, h.l2 = ReuseWindowCache(w1), ReuseWindowCache(w2)
+    return h
+
+
+def _reference_access(l1, l2, sectors):
+    sectors = np.asarray(sectors, dtype=np.int64)
+    l1_hits = l1.access(sectors)
+    l2_hits = l2.access(sectors[~l1_hits])
+    return (len(sectors), int(l1_hits.sum()), int((~l1_hits).sum()),
+            int(l2_hits.sum()), int((~l2_hits).sum()))
+
+
+def _fields(r):
+    return (r.accesses, r.unified_hits, r.l2_accesses, r.l2_hits,
+            r.dram_transactions)
+
+
+_sector_lists = st.lists(st.integers(0, 80), min_size=1, max_size=160)
+
+
+class TestTailStateAndReplay:
+    @given(st.integers(1, 60), st.lists(_sector_lists, min_size=1,
+                                        max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_tail_cache_matches_last_table(self, window, batches):
+        tail, ref = ReuseWindowCache(window), _LastTableCache(window)
+        for batch in batches:
+            assert np.array_equal(tail.access(np.array(batch)),
+                                  ref.access(np.array(batch)))
+            assert len(tail.tail) <= window
+        assert (tail.accesses, tail.hits) == (ref.accesses, ref.hits)
+
+    @given(
+        st.integers(1, 48), st.integers(1, 96),
+        st.lists(_sector_lists, min_size=1, max_size=3),
+        st.lists(st.one_of(st.integers(0, 2), _sector_lists,
+                           st.just("reset")),
+                 min_size=1, max_size=14),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_replay_tail_and_reference_agree(self, w1, w2, streams, ops):
+        """Plan streams shorter and longer than both windows, repeated
+        (so summaries are built and replayed) and interleaved with raw
+        streams and resets: the replaying hierarchy, the plain tail-state
+        hierarchy and the last-access-table reference stay identical."""
+        plans = [_Plan(s) for s in streams]
+        replay, plain = _hierarchy(w1, w2), _hierarchy(w1, w2)
+        l1, l2 = _LastTableCache(w1), _LastTableCache(w2)
+        for op in ops:
+            if op == "reset":
+                for c in (replay, plain, l1, l2):
+                    c.reset()
+                continue
+            if isinstance(op, int):
+                plan = plans[op % len(plans)]
+                sectors, got = plan.stream, replay.access(plan.stream,
+                                                          plan=plan)
+            else:
+                sectors = np.array(op, dtype=np.int64)
+                got = replay.access(sectors)
+            want = _reference_access(l1, l2, sectors)
+            assert _fields(got) == want
+            assert _fields(plain.access(sectors)) == want
+            for a, b in ((replay.unified, plain.unified),
+                         (replay.l2, plain.l2)):
+                assert np.array_equal(a.tail, b.tail)
+                assert (a.accesses, a.hits) == (b.accesses, b.hits)
+        assert (replay.unified.hits, replay.l2.hits) == (l1.hits, l2.hits)
+
+    @pytest.mark.parametrize("w1,w2", [(64, 128), (100, 60), (32, 512)])
+    def test_replay_exact_with_nonzero_static_parts(self, w1, w2):
+        """Long streams whose summaries carry static L1 *and* L2 hits,
+        replayed between raw streams against the reference."""
+        rng = np.random.default_rng(w1 + w2)
+        plans = [_Plan(_duplicate_heavy_stream(rng, 3000, 1500))
+                 for _ in range(2)]
+        h = _hierarchy(w1, w2)
+        l1, l2 = _LastTableCache(w1), _LastTableCache(w2)
+        for i in range(8):
+            plan = plans[i % 2]
+            assert _fields(h.access(plan.stream, plan=plan)) == \
+                _reference_access(l1, l2, plan.stream)
+            raw = rng.integers(0, 1500, size=50)
+            assert _fields(h.access(raw)) == _reference_access(l1, l2, raw)
+        for plan in plans:
+            summary = plan.replays[(w1, w2)]
+            assert summary.l1_hits > 0 and summary.l2_hits > 0
+            assert summary.l2_len > w2
+
+    def test_summary_built_on_second_use_then_replayed(self):
+        rng = np.random.default_rng(3)
+        plan = _Plan(rng.integers(0, 400, size=2000))
+        h = _hierarchy(64, 128)
+        h.access(plan.stream, plan=plan)
+        assert plan.replays == {(64, 128): None}
+        h.access(plan.stream, plan=plan)
+        summary = plan.replays[(64, 128)]
+        assert isinstance(summary, ReplaySummary)
+        assert summary.nbytes > 0
+        h.access(plan.stream, plan=plan)
+        assert plan.replays[(64, 128)] is summary
+
+    def test_short_plan_stream_takes_general_path(self):
+        plan = _Plan(np.arange(64))
+        h = _hierarchy(64, 128)
+        for _ in range(3):
+            h.access(plan.stream, plan=plan)
+        assert plan.replays == {}
+
+
+class TestSectorBytes:
+    def test_dram_bytes_use_spec_sector_size(self):
+        spec = dataclasses.replace(GTX_1080TI, sector_bytes=64)
+        r = CacheHierarchy(spec).access(np.arange(100) * 10_000)
+        assert r.dram_transactions == 100
+        assert r.dram_bytes == 6400
+

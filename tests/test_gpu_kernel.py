@@ -1,6 +1,8 @@
 """Tests for the kernel cost model: SIMT lockstep, SMP effects, occupancy,
 roofline composition and warp sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,16 @@ class TestStreamingKernel:
             GTX_1080TI, caches, read_bytes=0, write_bytes=6400, n_threads=10
         )
         assert t.counters.dram_write_bytes == 6400
+
+    @pytest.mark.parametrize("sector_bytes", [32, 64])
+    def test_dram_read_bytes_use_spec_sector_size(self, sector_bytes):
+        spec = dataclasses.replace(GTX_1080TI, sector_bytes=sector_bytes)
+        t = simulate_streaming_kernel(
+            spec, CacheHierarchy(spec), read_bytes=6400, write_bytes=0,
+            n_threads=100,
+        )
+        assert t.counters.global_load_transactions == 6400 // sector_bytes
+        assert t.counters.dram_read_bytes == 6400
 
     def test_scatter_component_traced(self):
         caches = CacheHierarchy(GTX_1080TI)

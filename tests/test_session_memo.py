@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import EngineSession, EtaGraphConfig
+from repro.core.msbfs import run_wave
 from repro.graph import generators
 from repro.graph.weights import attach_weights
 
@@ -26,6 +27,22 @@ def _result_signature(r):
     )
 
 
+def _replay_summaries(session):
+    return [
+        s
+        for e in session._frontier_memo.values()
+        if e.trace_plan is not None
+        for s in e.trace_plan.replays.values()
+        if s is not None
+    ]
+
+
+def _kernel_signature(r):
+    k = r.profiler.kernels
+    return (k.unified_cache_accesses, k.unified_cache_hits, k.l2_accesses,
+            k.l2_hits, k.dram_read_bytes.hex(), r.total_ms.hex())
+
+
 class TestMemoBitIdentity:
     @pytest.mark.parametrize("problem", ["bfs", "sssp"])
     def test_memo_on_equals_memo_off(self, social, problem):
@@ -43,6 +60,27 @@ class TestMemoBitIdentity:
                 assert _result_signature(r_on) == _result_signature(r_off)
             assert on.memo_hits > 0
             assert off.memo_hits == 0 and off.memo_misses == 0
+
+    def test_cache_replay_matches_memo_off(self):
+        """Memo-hot waves and repeated queries replay their plans'
+        cache summaries; every counter and clock must equal the same
+        sequence with no memo, where every plan is used once."""
+        graph = attach_weights(generators.rmat(11, 30000, seed=41), seed=42)
+        sources = np.arange(0, 40, 3)
+        with EngineSession(graph, EtaGraphConfig()) as on, \
+                EngineSession(
+                    graph, EtaGraphConfig(frontier_memo_entries=0)
+                ) as off:
+            for _ in range(3):
+                assert _kernel_signature(run_wave(on, sources)) == \
+                    _kernel_signature(run_wave(off, sources))
+            for problem in ("bfs", "sssp"):
+                for _ in range(3):
+                    assert _kernel_signature(on.query(problem, 7)) == \
+                        _kernel_signature(off.query(problem, 7))
+            # The replays carried static hits at both levels.
+            assert any(s.l1_hits and s.l2_hits
+                       for s in _replay_summaries(on))
 
     def test_track_parents_with_memo(self, social):
         cfg = EtaGraphConfig(track_parents=True)
@@ -159,6 +197,19 @@ class TestMemoAccounting:
             ses.query("bfs", 0)
             assert ses.memo_entries > 0
             assert ses.memo_bytes > 0
+
+    def test_memo_bytes_count_replay_summaries(self, social):
+        """A plan's cache-replay summary is built on its second use and
+        the memo's byte count grows by exactly its size."""
+        with EngineSession(social) as ses:
+            ses.query("bfs", 0)
+            before = ses.memo_bytes
+            assert _replay_summaries(ses) == []
+            ses.query("bfs", 0)
+            summaries = _replay_summaries(ses)
+            assert summaries
+            assert ses.memo_bytes == before + sum(
+                s.nbytes for s in summaries)
 
     def test_mixed_problems_do_not_collide(self, social):
         """BFS (int32 labels, no weights) and SSSP (float labels,
