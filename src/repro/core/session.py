@@ -24,7 +24,9 @@ Accounting is *measured*, not reconstructed:
 
 ``EtaGraphEngine.run`` is a session-of-one built on this class, so the
 one-shot path and the first query of a fresh session are the same code —
-bit-identical labels and identical clock arithmetic.
+bit-identical labels and identical clock arithmetic.  Queries and MSBFS
+waves (:mod:`repro.core.msbfs`) share one traversal loop,
+:meth:`EngineSession._traverse`; only the propagated payload differs.
 """
 
 from __future__ import annotations
@@ -113,6 +115,73 @@ class _FrontierExpansion:
         if self.src_ids is not None:
             total += self.src_ids.nbytes
         return total
+
+
+class _LabelPayload:
+    """What a sequential query propagates over
+    :meth:`EngineSession._traverse`: one problem's labels, the visited
+    set, and parent pointers when the config tracks them."""
+
+    span = "query"
+    buffer = "labels"
+    lanes = 0
+
+    def __init__(self, problem: TraversalProblem, source: int,
+                 target: int | None):
+        self.problem = problem
+        self.name = problem.name
+        self.source = source
+        self.target = target
+        self.attrs = self.meta = {"problem": problem.name, "source": source}
+
+    def place(self, session: "EngineSession") -> DeviceArray:
+        n = session.csr.num_vertices
+        arr = session._operand_buffer(
+            "_labels_arr", "labels", self.problem.initial_labels(n, self.source)
+        )
+        self.labels = arr.data
+        # Frontier buffers sit between labels and parents in device
+        # memory; trace plans record those addresses.
+        session._frontier_buffers()
+        parents_arr = session._parents_buffer()
+        self.parents = parents_arr.data if parents_arr is not None else None
+        self.visited = np.zeros(n, dtype=bool)
+        return arr
+
+    def seeds(self) -> np.ndarray:
+        seeds = self.problem.initial_frontier(len(self.labels), self.source)
+        self.visited[seeds] = True
+        return seeds
+
+    def step(self, entry: _FrontierExpansion, active, iteration: int):
+        labels = self.labels
+        problem = self.problem
+        degrees = entry.shadows.degrees
+        nbr = entry.nbr
+        dests = entry.dests
+        src_per_edge = np.repeat(labels[entry.ids64], degrees)
+        cand = problem.candidates(src_per_edge, entry.w_per_edge)
+        attempted = int(problem.improves(cand, labels[nbr]).sum())
+
+        before = labels[dests].copy()
+        problem.scatter_reduce(labels, nbr, cand)
+        changed = dests[labels[dests] != before]
+        newly = changed[~self.visited[changed]]
+        self.visited[changed] = True
+
+        if self.parents is not None and len(changed):
+            # The winning atomic's thread records its own id: any edge
+            # whose candidate equals the final label witnesses the update.
+            changed_mask = np.zeros(len(labels), dtype=bool)
+            changed_mask[changed] = True
+            witness = (cand == labels[nbr]) & changed_mask[nbr]
+            if entry.src_ids is None:
+                entry.src_ids = np.repeat(entry.ids64, degrees)
+            self.parents[nbr[witness]] = entry.src_ids[witness]
+        return attempted, changed, len(newly)
+
+    def done(self) -> bool:
+        return self.target is not None and bool(self.visited[self.target])
 
 
 class EngineSession:
@@ -441,32 +510,23 @@ class EngineSession:
     # Per-query working buffers (reused, reset between queries)
     # ------------------------------------------------------------------
 
-    def _labels_buffer(self, labels_host: np.ndarray) -> DeviceArray:
-        arr = self._labels_arr
-        if arr is not None and arr.data.dtype == labels_host.dtype \
-                and arr.data.shape == labels_host.shape:
-            arr.data[:] = labels_host
+    def _operand_buffer(self, attr: str, name: str,
+                        host: np.ndarray) -> DeviceArray:
+        """The session-resident per-vertex operand held in ``attr`` —
+        ``_labels_arr`` for queries, ``_wave_masks_arr`` (uint64 lane
+        masks) for MSBFS waves — refilled from ``host`` in place while
+        its dtype and shape hold, so memoized trace plans keep stable
+        device addresses; reallocated otherwise."""
+        arr = getattr(self, attr)
+        if arr is not None and arr.data.dtype == host.dtype \
+                and arr.data.shape == host.shape:
+            arr.data[:] = host
             return arr
         if arr is not None:
             self.memory.free(arr)
-        self._labels_arr = self.memory.alloc("labels", labels_host.copy())
-        return self._labels_arr
-
-    def _wave_mask_buffer(self, masks_host: np.ndarray) -> DeviceArray:
-        """Session-resident uint64 lane-mask buffer for MSBFS waves
-        (:mod:`repro.core.msbfs`): one 64-bit word per vertex, reused —
-        never reallocated — across waves, so memoized wave trace plans
-        keep stable device addresses."""
-        arr = self._wave_masks_arr
-        if arr is not None and arr.data.shape == masks_host.shape:
-            arr.data[:] = masks_host
-            return arr
-        if arr is not None:
-            self.memory.free(arr)
-        self._wave_masks_arr = self.memory.alloc(
-            "wave_masks", masks_host.copy()
-        )
-        return self._wave_masks_arr
+        arr = self.memory.alloc(name, host.copy())
+        setattr(self, attr, arr)
+        return arr
 
     def _frontier_buffers(self) -> FrontierBuffers:
         if self._frontier is None:
@@ -597,6 +657,7 @@ class EngineSession:
         while len(memo) > self.config.frontier_memo_entries:
             memo.popitem(last=False)
 
+
     # ------------------------------------------------------------------
     # Query
     # ------------------------------------------------------------------
@@ -627,11 +688,7 @@ class EngineSession:
         self._check_open()
         if isinstance(problem, str):
             problem = get_problem(problem)
-        if max_iterations is not None and max_iterations < 1:
-            raise ConfigError(
-                f"max_iterations must be >= 1, got {max_iterations}"
-            )
-        problem.check_graph(self.csr)
+        self._check_request(problem, max_iterations)
         if target is not None:
             if problem.name != "bfs":
                 raise ConfigError(
@@ -640,33 +697,105 @@ class EngineSession:
                 )
             if not 0 <= target < self.csr.num_vertices:
                 raise InvalidLaunchError(f"target {target} out of range")
+        if not 0 <= source < self.csr.num_vertices:
+            raise InvalidLaunchError(
+                f"source {source} out of range [0, {self.csr.num_vertices})"
+            )
+
+        payload = _LabelPayload(problem, source, target)
+        run = self._traverse(payload, max_iterations)
+        setup_this_call = run["setup_ms"]
+        result = TraversalResult(
+            labels=payload.labels.copy(),
+            source=source,
+            problem_name=problem.name,
+            device_bytes=self.memory.device_bytes_in_use,
+            um_bytes=self.memory.um_bytes_allocated,
+            extras={
+                "smp_effective": self._smp,
+                "threads_per_block": self._threads_per_block,
+                "parents": (
+                    payload.parents.copy()
+                    if payload.parents is not None else None
+                ),
+                "early_exit": target is not None,
+                "session_query_index": self.queries_served,
+                "warm_start": self.queries_served > 0 and setup_this_call == 0.0,
+            },
+            **run,
+        )
+        self.queries_served += 1
+        if self.config.check_invariants:
+            # Imported lazily: repro.testing imports this module.
+            from repro.testing.invariants import check_traversal_result
+
+            # Early-exit runs legitimately leave labels beyond the target
+            # unsettled, so the label/stats cross-check only applies to
+            # full traversals.
+            check_traversal_result(
+                result, problem=problem if target is None else None
+            )
+        return result
+
+    def _check_request(
+        self, problem: TraversalProblem, max_iterations: int | None
+    ) -> None:
+        if max_iterations is not None and max_iterations < 1:
+            raise ConfigError(
+                f"max_iterations must be >= 1, got {max_iterations}"
+            )
+        problem.check_graph(self.csr)
+
+    # ------------------------------------------------------------------
+    # The traversal loop (shared by queries and MSBFS waves)
+    # ------------------------------------------------------------------
+
+    def _traverse(self, payload, max_iterations: int | None) -> dict:
+        """Run the paper's iteration over the resident topology.
+
+        Everything but the propagated values is common to every driver:
+        placement and prefetch, the frontier memo, the UDC transform,
+        per-placement topology traffic (UM faults, zero-copy, direct
+        access), edge expansion, the kernel's ``TracePlan`` and cost,
+        the overlap rule, stats, spans and the final d2h.  ``payload``
+        owns the rest — a :class:`_LabelPayload` for a query, a lane-mask
+        payload for a wave (:mod:`repro.core.msbfs`) — through this
+        protocol:
+
+        * ``problem``: drives placement (weights), the kernel's
+          instruction mix and the budget error's wording via ``name``;
+        * ``span``/``attrs``/``meta``: the engine span and trace metadata;
+        * ``buffer``: prefix of the operand's ``-init``/``-d2h`` copies;
+        * ``lanes``: the memo key's lane count (0 for a query);
+        * ``place(session)``: allocate the device operand the kernel
+          gathers per edge and return it;
+        * ``seeds()``: the first frontier;
+        * ``step(entry, active, iteration)``: propagate over one memoized
+          expansion; returns ``(updates, changed, newly_visited)``;
+        * ``done()``: stop early after an iteration.
+
+        Returns the measurement fields shared by
+        :class:`~repro.core.engine.TraversalResult` and
+        :class:`~repro.core.msbfs.WaveResult`.
+        """
         cfg = self.config
         csr = self.csr
         spec = self.device
-
-        if not 0 <= source < csr.num_vertices:
-            raise InvalidLaunchError(
-                f"source {source} out of range [0, {csr.num_vertices})"
-            )
-
-        mem = self.memory
         caches = self.caches
         um = self.um
+        problem = payload.problem
         prof = Profiler()
         timeline = Timeline()
-        check_udc_partition = check_traversal_result = None
+        check_udc_partition = None
         if cfg.check_invariants:
             # Imported lazily: repro.testing imports this module.
-            from repro.testing.invariants import (
-                check_traversal_result, check_udc_partition,
-            )
+            from repro.testing.invariants import check_udc_partition
         clock = 0.0
         setup_before = self.setup_ms
         smp = self._smp
-        threads_per_block = self._threads_per_block
 
         # Telemetry (repro.observability): an attached tracer wins; else
-        # config.telemetry creates one per query.  Every site below is
+        # config.telemetry creates one per run.  Every site below is
         # guarded by ``tr is not None`` — with telemetry off this costs
         # nothing, and with it on the spans only *read* ``clock``.
         tr = self.tracer
@@ -677,8 +806,7 @@ class EngineSession:
         q_span = None
         if tr is not None:
             q_span = tr.start(
-                "query", "engine", clock,
-                problem=problem.name, source=source,
+                payload.span, "engine", clock, **payload.attrs,
                 memory_mode=cfg.memory_mode.value,
                 vertices=csr.num_vertices, edges=csr.num_edges,
                 warm=self.warm,
@@ -692,18 +820,14 @@ class EngineSession:
         topo_arrays = self._topo_arrays()
 
         # --- working state on device ------------------------------------
-        labels_host = problem.initial_labels(csr.num_vertices, source)
-        labels_arr = self._labels_buffer(labels_host)
-        labels = labels_arr.data
+        operand = payload.place(self)
         frontier = self._frontier_buffers()
-        parents_arr = self._parents_buffer()
-        parents = parents_arr.data if parents_arr is not None else None
         if tr is not None:
             tr.cursor_ms = clock
-        t = h2d_copy(spec, prof, labels_arr.nbytes, injector=self.injector,
-                     tracer=tr, label="labels-init")
-        timeline.add("transfer", clock, clock + t, nbytes=labels_arr.nbytes,
-                     label="labels-init")
+        t = h2d_copy(spec, prof, operand.nbytes, injector=self.injector,
+                     tracer=tr, label=f"{payload.buffer}-init")
+        timeline.add("transfer", clock, clock + t, nbytes=operand.nbytes,
+                     label=f"{payload.buffer}-init")
         clock += t
 
         oversubscribed = False
@@ -718,12 +842,10 @@ class EngineSession:
         shadow_table = self._shadow_table
 
         # --- traversal loop ----------------------------------------------
-        seeds = problem.initial_frontier(csr.num_vertices, source)
+        seeds = payload.seeds()
         stats = TraversalStats(
             num_vertices=csr.num_vertices, seed_count=len(seeds)
         )
-        visited = np.zeros(csr.num_vertices, dtype=bool)
-        visited[seeds] = True
         frontier.seed_many(seeds)
         offsets = csr.row_offsets
         cols = csr.column_indices
@@ -736,7 +858,7 @@ class EngineSession:
         while not frontier.is_empty:
             if iteration >= iteration_limit:
                 raise ConvergenceError(
-                    f"{problem.name} did not converge within "
+                    f"{payload.name} did not converge within "
                     f"{iteration_limit} iterations"
                 )
             active = frontier.active
@@ -759,7 +881,8 @@ class EngineSession:
                     self.injector.on_memo_lookup(self)
                 active_bytes = np.ascontiguousarray(active).tobytes()
                 key = self._memo_key(
-                    active_bytes, len(active), labels_arr, weights_arr
+                    active_bytes, len(active), operand, weights_arr,
+                    wave_lanes=payload.lanes,
                 )
                 entry = self._memo_get(key, active_bytes)
             memo_hit = entry is not None
@@ -930,7 +1053,7 @@ class EngineSession:
                 iteration += 1
                 continue
 
-            # --- functional step (exact label propagation) ---------------
+            # --- functional step (exact propagation) ----------------------
             if entry is None:
                 edge_idx = ragged_gather_indices(
                     shadows.starts, shadows.degrees
@@ -949,28 +1072,7 @@ class EngineSession:
                 )
                 if key is not None:
                     self._memo_put(key, entry)
-            nbr = entry.nbr
-            dests = entry.dests
-            src_per_edge = np.repeat(labels[entry.ids64], shadows.degrees)
-            cand = problem.candidates(src_per_edge, entry.w_per_edge)
-            attempted = int(problem.improves(cand, labels[nbr]).sum())
-
-            before = labels[dests].copy()
-            problem.scatter_reduce(labels, nbr, cand)
-            changed = dests[labels[dests] != before]
-            newly = changed[~visited[changed]]
-            visited[changed] = True
-
-            if parents is not None and len(changed):
-                # The winning atomic's thread records its own id: any
-                # edge whose candidate equals the final label witnesses
-                # the update.
-                changed_mask = np.zeros(csr.num_vertices, dtype=bool)
-                changed_mask[changed] = True
-                witness = (cand == labels[nbr]) & changed_mask[nbr]
-                if entry.src_ids is None:
-                    entry.src_ids = np.repeat(entry.ids64, shadows.degrees)
-                parents[nbr[witness]] = entry.src_ids[witness]
+            attempted, changed, newly = payload.step(entry, active, iteration)
 
             # --- kernel cost --------------------------------------------
             if entry.trace_plan is None:
@@ -983,8 +1085,8 @@ class EngineSession:
                     starts=shadows.starts,
                     degrees=shadows.degrees,
                     adj_array=cols_arr,
-                    neighbor_ids=nbr,
-                    label_array=labels_arr,
+                    neighbor_ids=entry.nbr,
+                    label_array=operand,
                     weight_array=weights_arr,
                     meta_array=frontier.virt_act_set,
                     meta_words_per_thread=3,
@@ -996,9 +1098,9 @@ class EngineSession:
                 )
             if self.injector is not None:
                 # The ECC check point: an injected bit flip lands in the
-                # device labels and aborts the launch with a typed
+                # device operand and aborts the launch with a typed
                 # DataCorruptionError before results can be consumed.
-                self.injector.on_kernel_launch(labels)
+                self.injector.on_kernel_launch(operand.data)
             if tr is not None:
                 # The vertex kernel issues after the transform kernel.
                 tr.cursor_ms = clock + transform_ms
@@ -1007,8 +1109,8 @@ class EngineSession:
                 starts=shadows.starts,
                 degrees=shadows.degrees,
                 adj_array=cols_arr,
-                neighbor_ids=nbr,
-                label_array=labels_arr,
+                neighbor_ids=entry.nbr,
+                label_array=operand,
                 weight_array=weights_arr,
                 meta_array=frontier.virt_act_set,
                 meta_words_per_thread=3,
@@ -1016,7 +1118,7 @@ class EngineSession:
                 degree_limit=cfg.degree_limit,
                 updates=attempted,
                 instr_per_edge=problem.instr_per_edge,
-                threads_per_block=threads_per_block,
+                threads_per_block=self._threads_per_block,
                 plan=entry.trace_plan,
                 tracer=tr,
             )
@@ -1055,7 +1157,7 @@ class EngineSession:
                 shadow_vertices=len(shadows),
                 edges_scanned=shadows.total_edges,
                 updates=attempted,
-                newly_visited=len(newly),
+                newly_visited=newly,
                 kernel_ms=kernel_ms,
                 transform_ms=transform_ms,
                 transfer_ms=migration_ms,
@@ -1065,65 +1167,41 @@ class EngineSession:
                 tr.end(
                     it_span, clock,
                     shadows=len(shadows), edges=shadows.total_edges,
-                    updates=attempted, newly_visited=len(newly),
+                    updates=attempted, newly_visited=newly,
                     memo="hit" if memo_hit else "miss",
                 )
 
             frontier.publish(changed)
             iteration += 1
-            if target is not None and visited[target]:
+            if payload.done():
                 break
 
         total_ms = clock
         if tr is not None:
             tr.cursor_ms = clock
-        d2h_ms = d2h_copy(spec, prof, labels_arr.nbytes,
+        d2h_ms = d2h_copy(spec, prof, operand.nbytes,
                           injector=self.injector,
-                          tracer=tr, label="labels-d2h")
-        setup_this_call = self.setup_ms - setup_before
+                          tracer=tr, label=f"{payload.buffer}-d2h")
 
         trace = None
         if tr is not None:
             tr.end(q_span, total_ms + d2h_ms,
                    iterations=iteration, total_ms=total_ms, d2h_ms=d2h_ms)
             trace = tr.trace(
-                problem=problem.name, source=source,
+                **payload.meta,
                 graph=f"{csr.num_vertices}v-{csr.num_edges}e",
                 memory_mode=cfg.memory_mode.value,
             )
-
-        result = TraversalResult(
-            labels=labels.copy(),
-            source=source,
-            problem_name=problem.name,
-            total_ms=total_ms,
-            kernel_ms=prof.kernels.elapsed_ms,
-            transfer_ms=prof.h2d_time_ms + prof.migration_time_ms,
-            d2h_ms=d2h_ms,
-            stats=stats,
-            timeline=timeline,
-            profiler=prof,
-            config=cfg,
-            device_bytes=mem.device_bytes_in_use,
-            um_bytes=mem.um_bytes_allocated,
-            oversubscribed=oversubscribed,
-            setup_ms=setup_this_call,
-            trace=trace,
-            extras={
-                "smp_effective": smp,
-                "threads_per_block": threads_per_block,
-                "parents": parents.copy() if parents is not None else None,
-                "early_exit": target is not None,
-                "session_query_index": self.queries_served,
-                "warm_start": self.queries_served > 0 and setup_this_call == 0.0,
-            },
-        )
-        self.queries_served += 1
-        if check_traversal_result is not None:
-            # Early-exit runs legitimately leave labels beyond the target
-            # unsettled, so the label/stats cross-check only applies to
-            # full traversals.
-            check_traversal_result(
-                result, problem=problem if target is None else None
-            )
-        return result
+        return {
+            "total_ms": total_ms,
+            "kernel_ms": prof.kernels.elapsed_ms,
+            "transfer_ms": prof.h2d_time_ms + prof.migration_time_ms,
+            "d2h_ms": d2h_ms,
+            "setup_ms": self.setup_ms - setup_before,
+            "stats": stats,
+            "timeline": timeline,
+            "profiler": prof,
+            "config": cfg,
+            "oversubscribed": oversubscribed,
+            "trace": trace,
+        }

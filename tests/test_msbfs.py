@@ -22,6 +22,7 @@ from repro.errors import (
     DeadlineExceededError,
     InvalidLaunchError,
 )
+from repro.graph.compressed import compress
 from repro.resilience import FaultPlan, FaultSpec, ResilientSession
 from repro.serving import TenantQuota, TraversalService, VisitRequest
 from repro.testing.differential import oracle_labels
@@ -30,8 +31,18 @@ ALL_MODES = (
     MemoryMode.DEVICE,
     MemoryMode.UM_PREFETCH,
     MemoryMode.UM_ON_DEMAND,
+    MemoryMode.DIRECT_ACCESS,
     MemoryMode.ZERO_COPY,
 )
+
+#: Every memory mode over dense and compressed topology (dense cases
+#: keep the bare mode as their id).
+MODE_ENCODINGS = [
+    pytest.param(mode, compressed,
+                 id=f"{mode.value}-compressed" if compressed else mode.value)
+    for compressed in (False, True)
+    for mode in ALL_MODES
+]
 
 
 def _sequential_labels(graph, sources, config=None):
@@ -52,14 +63,35 @@ def _assert_lanes_match(wave: WaveResult, expected: list[np.ndarray]):
 
 
 class TestWaveBitIdentity:
-    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
-    def test_identical_across_memory_modes(self, skewed_graph, mode):
+    @pytest.mark.parametrize("mode,compressed", MODE_ENCODINGS)
+    def test_identical_across_memory_modes(self, skewed_graph, mode,
+                                           compressed):
+        graph = compress(skewed_graph) if compressed else skewed_graph
         config = EtaGraphConfig(memory_mode=mode)
         sources = list(range(0, 64, 2))  # 32 lanes
-        expected = _sequential_labels(skewed_graph, sources, config)
-        with EngineSession(skewed_graph, config) as session:
+        expected = _sequential_labels(graph, sources, config)
+        with EngineSession(graph, config) as session:
             wave = run_wave(session, np.array(sources))
         _assert_lanes_match(wave, expected)
+
+    @pytest.mark.parametrize("mode,compressed", MODE_ENCODINGS)
+    def test_width_one_wave_moves_the_query_topology_bytes(
+        self, skewed_graph, mode, compressed
+    ):
+        """A wave is a payload over the query's traversal loop: with one
+        lane it reads exactly the topology bytes the query reads, in
+        every placement and encoding.  Only the per-vertex operand
+        differs — an 8-byte lane mask instead of a 4-byte label."""
+        graph = compress(skewed_graph) if compressed else skewed_graph
+        config = EtaGraphConfig(memory_mode=mode)
+        n = skewed_graph.num_vertices
+        with EngineSession(graph, config) as session:
+            query = session.query("bfs", 0)
+        with EngineSession(graph, config) as session:
+            wave = run_wave(session, np.array([0]))
+        assert wave.profiler.migration_sizes == query.profiler.migration_sizes
+        assert wave.profiler.h2d_bytes - 8 * n == \
+            query.profiler.h2d_bytes - 4 * n
 
     @pytest.mark.parametrize("width", [1, 32, 64])
     def test_identical_across_widths(self, skewed_graph, width):

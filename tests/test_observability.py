@@ -516,12 +516,22 @@ class TestTelemetryIdentity:
 # ----------------------------------------------------------------------
 
 
+#: One resilient serve per ladder entry point, with the engine span its
+#: attempts wrap.
+SERVE_CALLS = {
+    "query": (lambda rs: rs.run("bfs", 0), "query"),
+    "wave": (lambda rs: rs.run_wave([0]), "wave_query"),
+}
+
+
 class TestResilienceTracing:
-    def test_nominal_run_records_serve_and_attempt(self, skewed_graph):
+    @pytest.mark.parametrize("call", sorted(SERVE_CALLS))
+    def test_nominal_run_records_serve_and_attempt(self, skewed_graph, call):
+        serve_call, engine_span = SERVE_CALLS[call]
         with ResilientSession(
             skewed_graph, EtaGraphConfig(telemetry=True)
         ) as rs:
-            outcome = rs.run("bfs", 0)
+            outcome = serve_call(rs)
         trace = outcome.trace
         assert trace is not None
         serve = trace.spans("resilience", "serve")
@@ -530,11 +540,14 @@ class TestResilienceTracing:
         assert serve[0].attrs["attempts"] == 1
         assert attempts[0].parent == serve[0].sid
         # The engine's spans are inside the attempt window.
-        q = trace.spans("engine", "query")[0]
+        (q,) = trace.spans("engine", engine_span)
         assert attempts[0].start_ms <= q.start_ms
         assert q.end_ms <= attempts[0].end_ms + 1e-9
+        assert validate_chrome_trace(trace.to_chrome_trace()) == []
 
-    def test_retry_stitches_attempts_after_backoff(self, skewed_graph):
+    @pytest.mark.parametrize("call", sorted(SERVE_CALLS))
+    def test_retry_stitches_attempts_after_backoff(self, skewed_graph, call):
+        serve_call, engine_span = SERVE_CALLS[call]
         with ResilientSession(
             skewed_graph, EtaGraphConfig(telemetry=True),
             fault_plan=FaultPlan(
@@ -542,7 +555,7 @@ class TestResilienceTracing:
             ),
             policy=RetryPolicy(max_retries=2, backoff_base_ms=1.5),
         ) as rs:
-            outcome = rs.run("bfs", 0)
+            outcome = serve_call(rs)
         assert outcome.num_attempts == 2
         trace = outcome.trace
         attempts = trace.spans("resilience", "attempt")
@@ -552,7 +565,11 @@ class TestResilienceTracing:
         assert first.attrs["error"] == "TransferError"
         assert backoffs[0].start_ms >= first.end_ms - 1e-9
         assert second.start_ms >= backoffs[0].end_ms - 1e-9
-        # The failed attempt keeps its partial engine spans (aborted).
+        # Each attempt ran its own engine span; the failed attempt keeps
+        # its partial engine spans (aborted).
+        engine = trace.spans("engine", engine_span)
+        assert len(engine) == 2
+        assert engine[1].start_ms >= second.start_ms - 1e-9
         aborted = [r for r in trace.records if r.attrs.get("aborted")]
         assert aborted
         assert validate_chrome_trace(trace.to_chrome_trace()) == []
