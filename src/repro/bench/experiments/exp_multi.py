@@ -8,8 +8,9 @@ the *measured* amortization: the shared setup equals the first query's
 actual topology movement, and warm queries in the UM modes re-migrate
 nothing while the graph fits the residency budget.
 
-Not a paper table — this is the regression workload the CI bench-smoke
-job diffs against a committed baseline (``benchmarks/baseline_pr2``).
+Not a paper table — this is the regression workload the CI bench job's
+``multi`` entry diffs against a committed baseline
+(``benchmarks/baseline_pr2``).
 """
 
 from __future__ import annotations

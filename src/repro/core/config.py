@@ -101,7 +101,7 @@ class EtaGraphConfig:
     #: hangs off :attr:`TraversalResult.trace <repro.core.engine.
     #: TraversalResult>`.  Off by default and zero-cost when off; on, it
     #: observes without perturbing — labels and simulated timings stay
-    #: bit-identical (``python -m repro.observability identity``).
+    #: bit-identical (``python -m repro.testing identity``).
     telemetry: bool = False
 
     def __post_init__(self):

@@ -8,15 +8,13 @@ Usage::
     python -m repro.observability summarize /tmp/serve.json \\
         --request req-00003                   # one request's span tree
     python -m repro.observability validate /tmp/trace.json
-    python -m repro.observability identity                # telemetry gate
     python -m repro.observability slo                     # burn-rate report
 
 ``trace`` runs one query with ``EtaGraphConfig(telemetry=True)`` and
 writes the Chrome trace-event JSON (open it at https://ui.perfetto.dev);
-``--jsonl`` additionally writes the JSONL event log.  ``identity``
-serves the same query stream with telemetry off and on and compares
-output digests (labels + simulated clocks) — telemetry must observe,
-never perturb.  Exit status 0 when the contract holds, 1 otherwise.
+``--jsonl`` additionally writes the JSONL event log.  The telemetry
+on/off bit-identity gate runs under ``python -m repro.testing
+identity``.
 """
 
 from __future__ import annotations
@@ -156,66 +154,6 @@ def _validate(argv: list[str]) -> int:
     return 0
 
 
-def _identity(argv: list[str]) -> int:
-    from repro.core.config import EtaGraphConfig, MemoryMode
-    from repro.core.session import EngineSession
-    from repro.graph import datasets
-    from repro.resilience.chaos import result_digest
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.observability identity",
-        description="Telemetry-off runs must be bit-identical to "
-                    "telemetry-on runs (labels + simulated clocks).",
-    )
-    parser.add_argument("--graphs", nargs="+", default=["slashdot"])
-    parser.add_argument("--problems", nargs="+", default=["bfs", "cc"])
-    parser.add_argument("--sources", nargs="+", type=int, default=None)
-    args = parser.parse_args(argv)
-
-    failures: list[str] = []
-    checks = 0
-    for name in args.graphs:
-        weighted = any(p in ("sssp", "sswp") for p in args.problems)
-        csr, query_source = datasets.load(name, weighted=weighted)
-        sources = tuple(args.sources) if args.sources else \
-            (0, int(query_source))
-        for mode in (MemoryMode.UM_PREFETCH, MemoryMode.DEVICE):
-            off_cfg = EtaGraphConfig(memory_mode=mode)
-            on_cfg = EtaGraphConfig(memory_mode=mode, telemetry=True)
-            with EngineSession(csr, off_cfg) as off, \
-                    EngineSession(csr, on_cfg) as on:
-                for problem in args.problems:
-                    for source in sources:
-                        r_off = off.query(problem, source)
-                        r_on = on.query(problem, source)
-                        checks += 1
-                        where = f"{name}/{mode.value}/{problem}/src={source}"
-                        if r_off.trace is not None:
-                            failures.append(
-                                f"{where}: telemetry-off run grew a trace"
-                            )
-                        if r_on.trace is None or len(r_on.trace) == 0:
-                            failures.append(
-                                f"{where}: telemetry-on run has no trace"
-                            )
-                        d_off, d_on = result_digest(r_off), result_digest(r_on)
-                        if d_off != d_on:
-                            failures.append(
-                                f"{where}: telemetry-on digest {d_on} != "
-                                f"telemetry-off digest {d_off}"
-                            )
-    if failures:
-        print(f"{len(failures)} telemetry-identity violations:")
-        for f in failures:
-            print(f"  {f}")
-        return 1
-    print(
-        f"telemetry identity holds: {checks} query pairs on "
-        f"{'/'.join(args.graphs)} hash-identical with telemetry off/on"
-    )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["trace"]:
@@ -224,8 +162,6 @@ def main(argv: list[str] | None = None) -> int:
         return _summarize(argv[1:])
     if argv[:1] == ["validate"]:
         return _validate(argv[1:])
-    if argv[:1] == ["identity"]:
-        return _identity(argv[1:])
     if argv[:1] == ["slo"]:
         return _slo(argv[1:])
     print(__doc__)

@@ -162,7 +162,7 @@ def intervals_to_events(intervals) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# Validation / loading (the obs-smoke CI gate, the summarize CLI)
+# Validation / loading (the CI gates job, the summarize CLI)
 # ----------------------------------------------------------------------
 
 def validate_chrome_trace(obj) -> list[str]:

@@ -15,7 +15,7 @@ Two invariants make the tracer safe to wire through the hot path:
 * **Observation, never perturbation.**  Spans *read* the simulated
   clock; they never advance it.  Telemetry-on runs therefore report the
   same labels and the same simulated timings as telemetry-off runs —
-  the gate ``python -m repro.observability identity`` asserts this.
+  the gate ``python -m repro.testing identity`` asserts this.
 
 Span categories map to Perfetto tracks in the Chrome-trace exporter
 (:mod:`repro.observability.export`): ``engine`` and ``resilience`` hold

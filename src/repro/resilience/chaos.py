@@ -10,8 +10,8 @@ resilience contract:
     never a wrong answer, never a bare traceback.
 
 Everything derives from one sweep seed, so a failing plan prints the
-coordinates to replay it.  This is what ``python -m repro.testing
---chaos`` runs, and what the ``chaos-smoke`` CI job gates on.
+coordinates to replay it.  ``python -m repro.testing chaos`` runs it,
+and the ``gates`` CI job gates on it.
 
 :func:`check_bit_identity` is the other half of the contract: with *no*
 fault plan installed, ``ResilientSession`` must be an exact no-op
@@ -22,8 +22,8 @@ wrapper — labels and simulated timings hash-identical to a bare
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,15 +33,22 @@ from repro.errors import ReproError
 from repro.graph.csr import CSRGraph
 from repro.resilience.faults import FaultPlan
 from repro.resilience.session import ResilientSession, RetryPolicy
+from repro.testing.differential import diff_labels, oracle_labels
+from repro.testing.fuzz import (
+    SweepReport, random_config, random_graph, run_sweep,
+)
 
 _PROBLEMS = ("bfs", "sssp", "sswp", "cc")
+#: Queries served through each fault plan's session.
+_QUERIES_PER_PLAN = 2
+#: Upper bound on a random graph's vertex count.
+_MAX_VERTICES = 64
 
 
 @dataclass
-class ChaosReport:
+class ChaosReport(SweepReport):
     """Aggregate outcome of one chaos sweep."""
 
-    seed: int
     plans: int = 0
     queries: int = 0
     #: Queries that returned a (verified-correct) result.
@@ -54,23 +61,22 @@ class ChaosReport:
     placements: dict = field(default_factory=dict)
     #: Total injected faults observed firing.
     faults_fired: int = 0
-    elapsed_s: float = 0.0
-    #: Contract violations: wrong labels or untyped exceptions, with the
-    #: plan coordinates needed to replay them.
-    failures: list = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    unit: ClassVar[str] = "plans"
+    failure_heading: ClassVar[str] = "CONTRACT VIOLATIONS"
+    contract: ClassVar[str] = (
+        "resilience contract holds: every outcome was a correct result "
+        "or a typed ReproError"
+    )
 
-    def summary(self) -> str:
+    def headline(self) -> str:
         errors = ", ".join(
             f"{k}={v}" for k, v in sorted(self.typed_errors.items())
         ) or "none"
         placements = ", ".join(
             f"{k}={v}" for k, v in sorted(self.placements.items())
         ) or "none"
-        head = (
+        return (
             f"chaos sweep (seed {self.seed}): {self.plans} fault plans, "
             f"{self.queries} queries in {self.elapsed_s:.1f}s\n"
             f"  correct results: {self.ok_results} "
@@ -78,14 +84,6 @@ class ChaosReport:
             f"  typed errors: {errors}\n"
             f"  faults fired: {self.faults_fired}"
         )
-        if self.ok:
-            return (
-                f"{head}\nresilience contract holds: every outcome was a "
-                "correct result or a typed ReproError"
-            )
-        lines = [f"{head}\n{len(self.failures)} CONTRACT VIOLATIONS:"]
-        lines += [f"  {f}" for f in self.failures]
-        return "\n".join(lines)
 
 
 def run_chaos(
@@ -93,20 +91,19 @@ def run_chaos(
     max_plans: int | None = None,
     max_seconds: float | None = None,
     seed: int = 0,
-    queries_per_plan: int = 2,
-    max_vertices: int = 64,
     log=None,
     trace_dir=None,
 ) -> ChaosReport:
-    """Sweep random fault plans until the plan or time budget runs out.
+    """Sweep random fault plans until the plan or time budget runs out
+    (200 plans when neither is given).
 
     Each case draws a random graph, engine configuration, problem and
-    :class:`FaultPlan` from the case seed, serves ``queries_per_plan``
-    queries through one ``ResilientSession``, and verifies every
-    returned label vector bit-for-bit against the CPU oracle.  Typed
-    ``ReproError``\\ s are acceptable outcomes (counted, not failed);
-    anything else — a label mismatch or an untyped exception — is a
-    contract violation recorded with its replay coordinates.
+    :class:`FaultPlan` from the case seed, serves two queries through
+    one ``ResilientSession``, and verifies every returned label vector
+    bit-for-bit against the CPU oracle.  Typed ``ReproError``\\ s are
+    acceptable outcomes (counted, not failed); anything else — a label
+    mismatch or an untyped exception — is a contract violation recorded
+    with its replay coordinates.
 
     ``trace_dir`` (optional) turns on telemetry per query and writes a
     Chrome trace-event file for every query that ended in a typed error
@@ -114,11 +111,6 @@ def run_chaos(
     including the resilience ladder's attempts, so a failing plan can be
     diagnosed on a timeline instead of replayed blind.
     """
-    # Imported here, not at module top: repro.testing imports the engine
-    # stack and the chaos CLI lives inside repro.testing's __main__.
-    from repro.testing.differential import diff_labels, oracle_labels
-    from repro.testing.fuzz import random_config, random_graph
-
     if trace_dir is not None:
         from pathlib import Path
 
@@ -128,23 +120,14 @@ def run_chaos(
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
 
-    if max_plans is None and max_seconds is None:
-        max_plans = 200
     report = ChaosReport(seed=seed)
-    start = time.monotonic()
 
-    case = 0
-    while True:
-        if max_plans is not None and case >= max_plans:
-            break
-        if max_seconds is not None and \
-                time.monotonic() - start >= max_seconds:
-            break
+    def run_plan(case: int) -> None:
         rng = np.random.default_rng([seed, case])
         problem = _PROBLEMS[case % len(_PROBLEMS)]
         graph = random_graph(
             rng, weighted=problem in ("sssp", "sswp"),
-            max_vertices=max_vertices,
+            max_vertices=_MAX_VERTICES,
         )
         config = random_config(rng)
         plan = FaultPlan.random(rng)
@@ -168,8 +151,7 @@ def run_chaos(
         with ResilientSession(
             graph, config, fault_plan=plan, policy=policy,
         ) as rs:
-            fired_total = 0
-            for q in range(queries_per_plan):
+            for q in range(_QUERIES_PER_PLAN):
                 source = int(rng.integers(graph.num_vertices))
                 report.queries += 1
                 if trace_dir is not None:
@@ -219,15 +201,10 @@ def run_chaos(
                 report.placements[outcome.final_placement] = \
                     report.placements.get(outcome.final_placement, 0) + 1
             if rs.injector is not None:
-                fired_total = len(rs.injector.fired)
-            report.faults_fired += fired_total
+                report.faults_fired += len(rs.injector.fired)
 
-        case += 1
-        if log is not None and case % 25 == 0:
-            log(f"  ... {case} plans, {len(report.failures)} violations")
-
-    report.elapsed_s = time.monotonic() - start
-    return report
+    return run_sweep(report, run_plan, count=max_plans,
+                     seconds=max_seconds, default_count=200, log=log)
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +234,7 @@ def check_bit_identity(
     return a description of every digest mismatch (empty =
     bit-identical, the required result).  The third leg gates the
     observability contract: spans must read the simulated clock, never
-    advance it."""
+    advance it — and the two telemetry-off legs must record no trace."""
     from dataclasses import replace
 
     config = config or EtaGraphConfig()
@@ -268,9 +245,17 @@ def check_bit_identity(
             EngineSession(csr, traced_config) as traced:
         for problem in problems:
             for source in sources:
-                expected = result_digest(plain.query(problem, source))
+                plain_result = plain.query(problem, source)
+                expected = result_digest(plain_result)
                 outcome = resilient.run(problem, source)
                 actual = result_digest(outcome.result)
+                for leg, result in (("plain-session", plain_result),
+                                    ("resilient", outcome.result)):
+                    if result.trace is not None:
+                        mismatches.append(
+                            f"{problem}/src={source}: telemetry-off "
+                            f"{leg} run grew a trace"
+                        )
                 if outcome.degraded or outcome.num_attempts != 1:
                     mismatches.append(
                         f"{problem}/src={source}: no-fault run was not "

@@ -22,10 +22,11 @@ The layer stack, bottom up:
 * :mod:`repro.serving.health` — the self-healing plane: lane health
   scores, circuit breakers with warm standby replacement, hedged
   requests, brownout control (``TraversalService(..., health=True)``);
-* :mod:`repro.serving.identity` — the service-vs-session and
-  health-plane-on/off bit-identity gates CI runs;
+* :mod:`repro.serving.identity` — the service-vs-session,
+  health-plane-on/off and telemetry-on/off bit-identity gates behind
+  ``python -m repro.testing identity``;
 * :mod:`repro.serving.chaos` — the sustained-fault self-healing battery
-  behind ``python -m repro.serving chaos``;
+  behind ``python -m repro.testing heal``;
 * :mod:`repro.serving.loadgen` — the closed-loop load generator behind
   ``python -m repro.bench serve``.
 

@@ -28,15 +28,15 @@ and asserts the serving contract under sustained faults:
   pass :func:`~repro.observability.export.validate_chrome_trace`.
 
 Everything derives from one sweep seed; a failing run prints the
-coordinates to replay it.  ``python -m repro.serving chaos`` runs this,
-and the ``heal-smoke`` CI job gates on it (``obs-serve-smoke`` adds
-``--postmortem-dir``).
+coordinates to replay it.  ``python -m repro.testing heal`` runs this
+(with and without ``--postmortem-dir``), and the ``gates`` CI job gates
+on both.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,6 +48,8 @@ from repro.serving.health import HealthPolicy
 from repro.serving.requests import NeighborhoodRequest, StatsRequest, \
     VisitRequest
 from repro.serving.service import TraversalService
+from repro.testing.differential import diff_labels, oracle_labels
+from repro.testing.fuzz import SweepReport, random_graph, run_sweep
 
 _PROBLEMS = ("bfs", "cc", "sssp", "sswp")
 #: Fault kinds that demonstrably fire on the serving path: every query
@@ -58,13 +60,14 @@ _PROBLEMS = ("bfs", "cc", "sssp", "sswp")
 _KINDS = ("transfer_fault", "transfer_fault", "bitflip", "alloc_oom",
           "memo_invalidate")
 _TENANTS = ("alpha", "beta", "gamma")
+#: Upper bound on a random graph's vertex count.
+_MAX_VERTICES = 40
 
 
 @dataclass
-class HealReport:
+class HealReport(SweepReport):
     """Aggregate outcome of one self-healing chaos battery."""
 
-    seed: int
     runs: int = 0
     requests: int = 0
     #: Responses that returned a verified-correct (or well-formed) payload.
@@ -87,15 +90,16 @@ class HealReport:
     #: Postmortem bundles dumped by per-run flight recorders (only
     #: counted when the battery runs with ``postmortem_dir``).
     postmortems: int = 0
-    elapsed_s: float = 0.0
-    #: Contract violations, with the run coordinates to replay them.
-    failures: list = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    unit: ClassVar[str] = "runs"
+    failure_heading: ClassVar[str] = "CONTRACT VIOLATIONS"
+    contract: ClassVar[str] = (
+        "self-healing contract holds: every request was "
+        "answered-or-typed-shed exactly once and every open lane "
+        "was standby-replaced at the open instant"
+    )
 
-    def summary(self) -> str:
+    def headline(self) -> str:
         errors = ", ".join(
             f"{k}={v}" for k, v in sorted(self.typed_errors.items())
         ) or "none"
@@ -113,15 +117,7 @@ class HealReport:
         )
         if self.postmortems:
             head += f"\n  postmortem bundles: {self.postmortems}"
-        if self.ok:
-            return (
-                f"{head}\nself-healing contract holds: every request was "
-                "answered-or-typed-shed exactly once and every open lane "
-                "was standby-replaced at the open instant"
-            )
-        lines = [f"{head}\n{len(self.failures)} CONTRACT VIOLATIONS:"]
-        lines += [f"  {f}" for f in self.failures]
-        return "\n".join(lines)
+        return head
 
 
 def _sustained_plan(rng: np.random.Generator) -> FaultPlan:
@@ -177,8 +173,6 @@ def _random_requests(
 
 def _check_response(response, graph, problem, report, coords) -> None:
     """Assert one terminal response honors correct-or-typed."""
-    from repro.testing.differential import diff_labels, oracle_labels
-
     request = response.request
     if response.shed:
         if not response.error:
@@ -277,37 +271,26 @@ def run_heal_chaos(
     runs: int | None = None,
     max_seconds: float | None = None,
     seed: int = 0,
-    max_vertices: int = 40,
     postmortem_dir=None,
     log=None,
 ) -> HealReport:
     """Sweep seeded sustained-fault serving runs until the run or time
-    budget runs out; returns the :class:`HealReport`.
+    budget runs out (200 runs when neither is given); returns the
+    :class:`HealReport`.
 
     With ``postmortem_dir`` each run gets its own
     :class:`~repro.observability.recorder.FlightRecorder` dumping into
     ``<postmortem_dir>/runNNN/``, and the battery additionally enforces
     the explainability contract (see module docstring).
     """
-    from repro.testing.fuzz import random_graph
-
-    if runs is None and max_seconds is None:
-        runs = 200
     report = HealReport(seed=seed)
-    start = time.monotonic()
 
-    case = 0
-    while True:
-        if runs is not None and case >= runs:
-            break
-        if max_seconds is not None and \
-                time.monotonic() - start >= max_seconds:
-            break
+    def run_one(case: int) -> None:
         rng = np.random.default_rng([0x4EA1, seed, case])
         problem = _PROBLEMS[case % len(_PROBLEMS)]
         graph = random_graph(
             rng, weighted=problem in ("sssp", "sswp"),
-            max_vertices=max_vertices,
+            max_vertices=_MAX_VERTICES,
         )
         pool_size = int(rng.integers(2, 4))
         fault_plans = {
@@ -352,7 +335,6 @@ def run_heal_chaos(
             recorder=recorder,
         ) as service:
             plane = service.health
-            violation = False
             answered = 0
             run_errors = 0
             for batch in range(int(rng.integers(3, 6))):
@@ -366,29 +348,25 @@ def run_heal_chaos(
                         f"{coords} batch {batch}: serve() raised "
                         f"{type(exc).__name__}: {exc}"
                     )
-                    violation = True
-                    break
+                    return
                 except Exception as exc:  # noqa: BLE001 — the contract
                     report.failures.append(
                         f"{coords} batch {batch}: UNTYPED "
                         f"{type(exc).__name__}: {exc}"
                     )
-                    violation = True
-                    break
+                    return
                 if len(responses) != len(requests):
                     report.failures.append(
                         f"{coords} batch {batch}: {len(requests)} requests "
                         f"-> {len(responses)} responses (lost/duplicated)"
                     )
-                    violation = True
-                    break
+                    return
                 if len(service.queue):
                     report.failures.append(
                         f"{coords} batch {batch}: queue not drained "
                         f"({len(service.queue)} left)"
                     )
-                    violation = True
-                    break
+                    return
                 seqs = [r.seq for r in responses if r.seq >= 0]
                 answered += len(seqs)
                 if len(seqs) != len(set(seqs)):
@@ -396,8 +374,7 @@ def run_heal_chaos(
                         f"{coords} batch {batch}: duplicate sequence "
                         "numbers in responses"
                     )
-                    violation = True
-                    break
+                    return
                 for response in responses:
                     if not response.ok and not response.shed \
                             and response.seq >= 0:
@@ -405,74 +382,65 @@ def run_heal_chaos(
                     _check_response(
                         response, graph, problem, report, coords,
                     )
-            if not violation:
-                # Conservation: every admitted request lands in exactly
-                # one of the served / shed counters.
-                accounted = service.requests_served + service.requests_shed
-                if accounted != answered:
-                    report.failures.append(
-                        f"{coords}: {answered} admitted requests but "
-                        f"served+shed accounts for {accounted}"
-                    )
-                # Breaker bookkeeping: opens pair with same-instant
-                # replaces; lane generations equal their open counts.
-                events = plane.events
-                open_events = [e for e in events if e.kind == "open"]
-                replace_events = [e for e in events if e.kind == "replace"]
-                if len(open_events) != len(replace_events):
-                    report.failures.append(
-                        f"{coords}: {len(open_events)} opens but "
-                        f"{len(replace_events)} standby replacements"
-                    )
-                else:
-                    for opened, replaced in zip(
-                        open_events, replace_events,
-                    ):
-                        if opened.lane != replaced.lane or \
-                                opened.t_ms != replaced.t_ms:
-                            report.failures.append(
-                                f"{coords}: open (lane {opened.lane} @ "
-                                f"{opened.t_ms:.3f}) not matched by its "
-                                f"standby replace (lane {replaced.lane} "
-                                f"@ {replaced.t_ms:.3f})"
-                            )
-                            break
-                for lane in plane.lanes:
-                    if service.pool.workers[lane.index].generation \
-                            != lane.opens:
+            # Conservation: every admitted request lands in exactly
+            # one of the served / shed counters.
+            accounted = service.requests_served + service.requests_shed
+            if accounted != answered:
+                report.failures.append(
+                    f"{coords}: {answered} admitted requests but "
+                    f"served+shed accounts for {accounted}"
+                )
+            # Breaker bookkeeping: opens pair with same-instant
+            # replaces; lane generations equal their open counts.
+            events = plane.events
+            open_events = [e for e in events if e.kind == "open"]
+            replace_events = [e for e in events if e.kind == "replace"]
+            if len(open_events) != len(replace_events):
+                report.failures.append(
+                    f"{coords}: {len(open_events)} opens but "
+                    f"{len(replace_events)} standby replacements"
+                )
+            else:
+                for opened, replaced in zip(
+                    open_events, replace_events,
+                ):
+                    if opened.lane != replaced.lane or \
+                            opened.t_ms != replaced.t_ms:
                         report.failures.append(
-                            f"{coords}: lane {lane.index} generation "
-                            f"{service.pool.workers[lane.index].generation}"
-                            f" != opens {lane.opens}"
+                            f"{coords}: open (lane {opened.lane} @ "
+                            f"{opened.t_ms:.3f}) not matched by its "
+                            f"standby replace (lane {replaced.lane} "
+                            f"@ {replaced.t_ms:.3f})"
                         )
-                report.opens += sum(lane.opens for lane in plane.lanes)
-                report.closes += sum(lane.closes for lane in plane.lanes)
-                report.replaces += len(replace_events)
-                report.recoveries += int(
-                    any(lane.closes for lane in plane.lanes)
-                )
-                report.hedges += plane.hedges
-                report.hedge_wins += plane.hedge_wins
-                report.brownouts += sum(
-                    1 for e in events if e.kind == "brownout"
-                )
-                for worker in service.pool.workers:
-                    injector = getattr(worker.session, "injector", None)
-                    if injector is not None:
-                        report.faults_fired += len(injector.fired)
-                if recorder is not None:
-                    _check_postmortems(
-                        recorder, run_errors, len(open_events),
-                        report, coords,
+                        break
+            for lane in plane.lanes:
+                if service.pool.workers[lane.index].generation \
+                        != lane.opens:
+                    report.failures.append(
+                        f"{coords}: lane {lane.index} generation "
+                        f"{service.pool.workers[lane.index].generation}"
+                        f" != opens {lane.opens}"
                     )
-
-        case += 1
-        if log is not None and case % 25 == 0:
-            log(
-                f"  ... {case} runs, {report.opens} opens, "
-                f"{report.closes} closes, "
-                f"{len(report.failures)} violations"
+            report.opens += sum(lane.opens for lane in plane.lanes)
+            report.closes += sum(lane.closes for lane in plane.lanes)
+            report.replaces += len(replace_events)
+            report.recoveries += int(
+                any(lane.closes for lane in plane.lanes)
             )
+            report.hedges += plane.hedges
+            report.hedge_wins += plane.hedge_wins
+            report.brownouts += sum(
+                1 for e in events if e.kind == "brownout"
+            )
+            for worker in service.pool.workers:
+                injector = getattr(worker.session, "injector", None)
+                if injector is not None:
+                    report.faults_fired += len(injector.fired)
+            if recorder is not None:
+                _check_postmortems(
+                    recorder, run_errors, len(open_events),
+                    report, coords,
+                )
 
-    report.elapsed_s = time.monotonic() - start
-    return report
+    return run_sweep(report, run_one, count=runs, seconds=max_seconds,
+                     default_count=200, log=log)

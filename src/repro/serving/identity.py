@@ -12,24 +12,26 @@ dispatch order — not the global stream on one session.
 :func:`check_service_identity` does exactly that and returns the list
 of digest mismatches (empty = identical), using the same
 :func:`~repro.resilience.chaos.result_digest` hash the chaos gate uses.
-CI runs it via ``python -m repro.serving identity``.
 
-:func:`check_health_identity` is the companion gate for the self-healing
-plane (:mod:`repro.serving.health`): on a healthy (fault-free) request
-stream the plane must be purely observational, so the same batch served
-with ``health=True`` and ``health=None`` must agree on *every* response
-fact — labels, simulated arrival/start/finish clocks, lane, placement
-and sequence number.  CI runs it via ``python -m repro.serving identity
---health``.
+:func:`check_health_identity` and :func:`check_trace_identity` are the
+companion gates for the self-healing plane (:mod:`repro.serving.health`)
+and for request tracing, SLO monitors and the flight recorder: on a
+healthy (fault-free) request stream each must be purely observational,
+so the same batch served with it off and on must agree on *every*
+response fact — labels, simulated arrival/start/finish clocks, lane,
+placement and sequence number.
+
+``python -m repro.testing identity`` runs all three.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.core.config import EtaGraphConfig
 from repro.core.session import EngineSession
 from repro.gpu.device import DeviceSpec, GTX_1080TI
 from repro.graph.csr import CSRGraph
-from repro.resilience.chaos import result_digest
 from repro.serving.requests import TraversalResponse, VisitRequest
 from repro.serving.service import TraversalService
 
@@ -53,6 +55,10 @@ def replay_mismatches(
         if response.result is None:
             continue  # shed / errored: no engine result to compare
         lanes.setdefault(response.worker, []).append(response)
+
+    # Imported here: repro.resilience.chaos pulls in repro.testing,
+    # which a plain ``import repro`` should not load.
+    from repro.resilience.chaos import result_digest
 
     mismatches = []
     for lane in sorted(lanes):
@@ -107,6 +113,8 @@ def check_service_identity(
 def _response_facts(response: TraversalResponse) -> tuple:
     """Everything a healthy-path response commits to: identity of the
     answer *and* of the simulated schedule that produced it."""
+    from repro.resilience.chaos import result_digest
+
     result = response.result
     return (
         response.seq,
@@ -122,6 +130,34 @@ def _response_facts(response: TraversalResponse) -> tuple:
         round(response.finish_ms, 9),
         result_digest(result) if result is not None else None,
     )
+
+
+def _on_off_mismatches(
+    service_factory, requests: list, plane: str, enable: dict, audit,
+) -> list[str]:
+    """Serve ``requests`` twice on ``service_factory(**kwargs)`` — with
+    ``plane`` off, then on (``kwargs = enable``) — and describe every
+    response-fact divergence.  ``audit(service, responses)`` inspects
+    the on-leg's service before it closes; a message fails the gate at
+    once (a plane that observed nothing would make it vacuous)."""
+    runs = []
+    for kwargs in ({}, enable):
+        with service_factory(**kwargs) as service:
+            responses = service.serve(list(requests))
+            if kwargs:
+                problem = audit(service, responses)
+                if problem:
+                    return [problem]
+        runs.append(responses)
+    mismatches = []
+    for off, on in zip(*runs):
+        facts_off, facts_on = _response_facts(off), _response_facts(on)
+        if facts_off != facts_on:
+            mismatches.append(
+                f"seq {off.seq} {off.request.describe()}: "
+                f"{plane}-off {facts_off} != {plane}-on {facts_on}"
+            )
+    return mismatches
 
 
 def check_health_identity(
@@ -144,32 +180,19 @@ def check_health_identity(
     ``resilient=True`` the gate reruns over resilient (retry-capable)
     lanes with no fault plan, covering the retry-wrapper path too.
     """
-    config = config or EtaGraphConfig()
-    requests = [
-        VisitRequest(problem=problem, source=source)
-        for problem, source in queries
-    ]
-    runs = {}
-    for health in (None, True):
-        with TraversalService(
-            csr, config, device, pool_size=pool_size,
-            resilient=resilient, health=health,
-        ) as service:
-            runs[bool(health)] = service.serve(list(requests))
-            if health and service.health.level != 0:
-                return [
-                    "healthy stream raised brownout level "
-                    f"{service.health.level}: plane is not observational"
-                ]
-    mismatches = []
-    for off, on in zip(runs[False], runs[True]):
-        facts_off, facts_on = _response_facts(off), _response_facts(on)
-        if facts_off != facts_on:
-            mismatches.append(
-                f"seq {off.seq} {off.request.describe()}: "
-                f"health-off {facts_off} != health-on {facts_on}"
-            )
-    return mismatches
+    def audit(service, responses) -> str | None:
+        if service.health.level != 0:
+            return ("healthy stream raised brownout level "
+                    f"{service.health.level}: plane is not observational")
+        return None
+
+    return _on_off_mismatches(
+        partial(TraversalService, csr, config or EtaGraphConfig(), device,
+                pool_size=pool_size, resilient=resilient),
+        [VisitRequest(problem=problem, source=source)
+         for problem, source in queries],
+        "health", {"health": True}, audit,
+    )
 
 
 def check_trace_identity(
@@ -194,56 +217,34 @@ def check_trace_identity(
     """
     from repro.observability.slo import SLOMonitor, SLOPolicy
 
-    config = config or EtaGraphConfig()
-    requests = [
-        VisitRequest(problem=problem, source=source, tenant="gate",
-                     deadline_ms=50.0)
-        for problem, source in queries
-    ]
-    runs = {}
-    for telemetry in (False, True):
-        kwargs = {}
-        if telemetry:
-            kwargs = {
-                "telemetry": True,
-                "slo": SLOMonitor(SLOPolicy(objective=0.5)),
-                "recorder": True,
-            }
-        with TraversalService(
-            csr, config, device, pool_size=pool_size,
-            resilient=resilient, **kwargs,
-        ) as service:
-            runs[telemetry] = service.serve(list(requests))
-            if telemetry:
-                trace = service.trace()
-                ids = {
-                    r.attrs.get("request_id")
-                    for r in trace.spans("service", "request")
-                }
-                missing = [
-                    resp.request_id for resp in runs[True]
-                    if resp.request_id and resp.request_id not in ids
-                ]
-                if missing:
-                    return [
-                        f"request(s) {missing} produced no request span "
-                        "— trace propagation is broken"
-                    ]
-                samples = sum(
-                    s["samples"]
-                    for s in service.slo.snapshot().values()
-                )
-                if samples != len(runs[True]):
-                    return [
-                        f"SLO monitor saw {samples} samples for "
-                        f"{len(runs[True])} responses"
-                    ]
-    mismatches = []
-    for off, on in zip(runs[False], runs[True]):
-        facts_off, facts_on = _response_facts(off), _response_facts(on)
-        if facts_off != facts_on:
-            mismatches.append(
-                f"seq {off.seq} {off.request.describe()}: "
-                f"telemetry-off {facts_off} != telemetry-on {facts_on}"
-            )
-    return mismatches
+    def audit(service, responses) -> str | None:
+        ids = {
+            r.attrs.get("request_id")
+            for r in service.trace().spans("service", "request")
+        }
+        missing = [
+            resp.request_id for resp in responses
+            if resp.request_id and resp.request_id not in ids
+        ]
+        if missing:
+            return (f"request(s) {missing} produced no request span "
+                    "— trace propagation is broken")
+        samples = sum(
+            s["samples"] for s in service.slo.snapshot().values()
+        )
+        if samples != len(responses):
+            return (f"SLO monitor saw {samples} samples for "
+                    f"{len(responses)} responses")
+        return None
+
+    return _on_off_mismatches(
+        partial(TraversalService, csr, config or EtaGraphConfig(), device,
+                pool_size=pool_size, resilient=resilient),
+        [VisitRequest(problem=problem, source=source, tenant="gate",
+                      deadline_ms=50.0)
+         for problem, source in queries],
+        "telemetry",
+        {"telemetry": True, "recorder": True,
+         "slo": SLOMonitor(SLOPolicy(objective=0.5))},
+        audit,
+    )

@@ -17,8 +17,11 @@ machinery:
   configurations (requires the ``[test]`` extra),
 * :mod:`repro.testing.fixtures` — pytest fixtures re-exporting all of
   the above,
-* :mod:`repro.testing.fuzz` / ``python -m repro.testing`` — a
-  randomized sweep combining everything for CI smoke runs.
+* :mod:`repro.testing.fuzz` / ``python -m repro.testing fuzz`` — a
+  randomized sweep combining everything for CI smoke runs, and the
+  sweep skeleton the chaos batteries share;
+* ``python -m repro.testing {fuzz,chaos,heal,identity}`` — the one gate
+  CLI over every sweep and bit-identity check.
 """
 
 from repro.errors import InvariantViolation

@@ -1,17 +1,26 @@
 """Randomized differential + metamorphic sweep (no Hypothesis needed).
 
-This is the engine behind ``python -m repro.testing``: generate a small
-random graph, a random engine configuration and a random problem, run it
-through EtaGraph (with inline invariant checking), every baseline and
-the CPU oracle, and diff the labels.  A fraction of cases additionally
-exercise a random metamorphic transform.  Everything is derived from one
-seed, so a failing case prints the exact coordinates to replay it.
+This is the engine behind ``python -m repro.testing fuzz``: generate a
+small random graph, a random engine configuration and a random problem,
+run it through EtaGraph (with inline invariant checking), every baseline
+and the CPU oracle, and diff the labels.  A fraction of cases
+additionally exercise a random metamorphic transform.  Everything is
+derived from one seed, so a failing case prints the exact coordinates to
+replay it.
+
+:class:`SweepReport` and :func:`run_sweep` are the skeleton every seeded
+sweep shares — this fuzzer, the chaos sweep
+(:mod:`repro.resilience.chaos`) and the heal battery
+(:mod:`repro.serving.chaos`): a case-count or wall-time budget, a
+progress line every 25 cases, and a summary that ends in the contract
+line or the list of failures.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -93,38 +102,82 @@ def random_config(rng: np.random.Generator) -> EtaGraphConfig:
 
 
 @dataclass
-class FuzzReport:
-    """Aggregate outcome of one fuzz sweep."""
+class SweepReport:
+    """What every seeded sweep reports: its seed, wall time and failures.
+
+    A subclass adds its counters and :meth:`headline`, and names its unit
+    of work (for the progress log), the heading over its failure list
+    and the contract line a clean sweep ends with.
+    """
 
     seed: int
-    cases: int = 0
-    engine_runs: int = 0
-    metamorphic_checks: int = 0
     elapsed_s: float = 0.0
-    cases_per_problem: dict = field(default_factory=dict)
     #: Human-readable descriptions of every failure, with replay seeds.
     failures: list = field(default_factory=list)
+
+    unit: ClassVar[str] = "cases"
+    failure_heading: ClassVar[str] = "FAILURES"
+    contract: ClassVar[str] = ""
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
+    def headline(self) -> str:
+        raise NotImplementedError
+
     def summary(self) -> str:
+        head = self.headline()
+        if self.ok:
+            return f"{head}\n{self.contract}"
+        lines = [f"{head}\n{len(self.failures)} {self.failure_heading}:"]
+        lines += [f"  {f}" for f in self.failures]
+        return "\n".join(lines)
+
+
+def run_sweep(report, case, *, count, seconds, default_count, log=None):
+    """Call ``case(i)`` for i = 0, 1, ... until ``count`` cases or
+    ``seconds`` of wall time are spent (``default_count`` cases when
+    neither is given), logging progress every 25 cases; returns
+    ``report`` with its ``elapsed_s`` set."""
+    if count is None and seconds is None:
+        count = default_count
+    start = time.monotonic()
+    done = 0
+    while (count is None or done < count) and \
+            (seconds is None or time.monotonic() - start < seconds):
+        case(done)
+        done += 1
+        if log is not None and done % 25 == 0:
+            log(f"  ... {done} {report.unit}, {len(report.failures)} "
+                f"{report.failure_heading.lower()}")
+    report.elapsed_s = time.monotonic() - start
+    return report
+
+
+@dataclass
+class FuzzReport(SweepReport):
+    """Aggregate outcome of one fuzz sweep."""
+
+    cases: int = 0
+    engine_runs: int = 0
+    metamorphic_checks: int = 0
+    cases_per_problem: dict = field(default_factory=dict)
+
+    contract: ClassVar[str] = (
+        "all labels match the CPU oracle; no invariant violations"
+    )
+
+    def headline(self) -> str:
         per_problem = ", ".join(
             f"{k}={v}" for k, v in sorted(self.cases_per_problem.items())
         )
-        head = (
+        return (
             f"fuzz sweep (seed {self.seed}): {self.cases} differential cases "
             f"({per_problem}), {self.engine_runs} engine runs, "
             f"{self.metamorphic_checks} metamorphic checks "
             f"in {self.elapsed_s:.1f}s"
         )
-        if self.ok:
-            return f"{head}\nall labels match the CPU oracle; "\
-                   "no invariant violations"
-        lines = [f"{head}\n{len(self.failures)} FAILURES:"]
-        lines += [f"  {f}" for f in self.failures]
-        return "\n".join(lines)
 
 
 def run_fuzz(
@@ -138,7 +191,8 @@ def run_fuzz(
     metamorphic_every: int = 4,
     log=None,
 ) -> FuzzReport:
-    """Run a randomized sweep until a case or time budget is exhausted.
+    """Run a randomized sweep until a case or time budget is exhausted
+    (100 cases when neither is given).
 
     Every case is a differential comparison of EtaGraph (invariant checks
     on) and every baseline against the CPU oracle; every
@@ -159,19 +213,10 @@ def run_fuzz(
                 f"unknown extra engine {name!r}; "
                 f"known: {sorted(EXTRA_ENGINE_FACTORIES)}"
             )
-    if max_cases is None and max_seconds is None:
-        max_cases = 100
     rng = np.random.default_rng(seed)
     report = FuzzReport(seed=seed)
-    start = time.monotonic()
 
-    case = 0
-    while True:
-        if max_cases is not None and case >= max_cases:
-            break
-        if max_seconds is not None and \
-                time.monotonic() - start >= max_seconds:
-            break
+    def run_case(case: int) -> None:
         problem = problems[case % len(problems)]
         weighted = problem in ("sssp", "sswp")
         graph = random_graph(rng, weighted=weighted)
@@ -211,9 +256,5 @@ def run_fuzz(
                     f"{problem}: {diff}"
                 )
 
-        case += 1
-        if log is not None and case % 25 == 0:
-            log(f"  ... {case} cases, {len(report.failures)} failures")
-
-    report.elapsed_s = time.monotonic() - start
-    return report
+    return run_sweep(report, run_case, count=max_cases,
+                     seconds=max_seconds, default_count=100, log=log)

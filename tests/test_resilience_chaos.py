@@ -51,6 +51,19 @@ class TestChaosSweep:
         assert report.plans >= 1
         assert report.elapsed_s < 5.0
 
+    def test_trace_dir_writes_valid_chrome_traces(self, tmp_path):
+        import json
+
+        from repro.observability.export import validate_chrome_trace
+
+        report = run_chaos(max_plans=30, seed=0, trace_dir=tmp_path)
+        assert report.ok, report.summary()
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert "plan0021-q0-DeviceOutOfMemoryError.json" in written
+        for name in written:
+            with open(tmp_path / name, encoding="utf-8") as fh:
+                assert validate_chrome_trace(json.load(fh)) == [], name
+
 
 class TestBitIdentity:
     @pytest.mark.parametrize("mode", [
@@ -64,3 +77,14 @@ class TestBitIdentity:
             EtaGraphConfig(memory_mode=mode),
         )
         assert mismatches == []
+
+    def test_telemetry_off_legs_must_record_no_trace(self, skewed_graph):
+        # A config with telemetry on gives the plain and resilient legs
+        # a trace they must not have.
+        mismatches = check_bit_identity(
+            skewed_graph, ("bfs",), (0,), EtaGraphConfig(telemetry=True),
+        )
+        assert any("telemetry-off plain-session run grew a trace" in m
+                   for m in mismatches)
+        assert any("telemetry-off resilient run grew a trace" in m
+                   for m in mismatches)

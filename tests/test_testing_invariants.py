@@ -140,7 +140,7 @@ class TestCLI:
     def test_green_sweep_exits_zero(self, capsys):
         from repro.testing.__main__ import main
 
-        rc = main(["--cases", "6", "--seed", "3", "-q",
+        rc = main(["fuzz", "--runs", "6", "--seed", "3", "-q",
                    "--baselines", "gunrock", "tigr"])
         out = capsys.readouterr().out
         assert rc == 0
@@ -150,7 +150,7 @@ class TestCLI:
     def test_no_metamorphic_flag(self, capsys):
         from repro.testing.__main__ import main
 
-        rc = main(["--cases", "4", "-q", "--no-metamorphic",
+        rc = main(["fuzz", "--runs", "4", "-q", "--no-metamorphic",
                    "--baselines", "gunrock"])
         assert rc == 0
         assert "0 metamorphic checks" in capsys.readouterr().out
@@ -159,4 +159,72 @@ class TestCLI:
         from repro.testing.__main__ import main
 
         with pytest.raises(SystemExit):
-            main(["--problems", "pagerank"])
+            main(["fuzz", "--problems", "pagerank"])
+
+    def test_chaos_rejects_fuzz_flags(self):
+        from repro.testing.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(["chaos", "--engine", "etagraph-msbfs"])
+
+    def test_chaos_honours_the_run_budget(self, capsys):
+        from repro.testing.__main__ import main
+
+        assert main(["chaos", "--runs", "3", "-q"]) == 0
+        assert "3 fault plans" in capsys.readouterr().out
+
+    def test_budget_is_a_count_or_seconds(self):
+        from repro.testing.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(["heal", "--runs", "3", "--seconds", "1"])
+
+    def test_no_command_prints_usage(self, capsys):
+        from repro.testing.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "usage" in capsys.readouterr().err
+
+
+class TestIdentityCLI:
+    """``identity`` runs every leg on slashdot; here a small graph stands
+    in for it so the gate's wiring and verdict run in seconds."""
+
+    @pytest.fixture(autouse=True)
+    def small_dataset(self, monkeypatch):
+        from repro.graph import datasets, generators
+        from repro.graph.weights import uniform_int_weights
+
+        graph = generators.rmat(6, 256, seed=3)
+        weighted_graph = graph.with_weights(
+            uniform_int_weights(graph.num_edges, seed=5))
+        monkeypatch.setattr(
+            datasets, "load",
+            lambda name, weighted=False:
+                (weighted_graph if weighted else graph, 1),
+        )
+
+    def test_every_leg_passes(self, capsys):
+        from repro.testing.__main__ import main
+
+        assert main(["identity"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8
+        assert all(line.startswith("ok: ") for line in lines)
+
+    def test_one_mismatching_leg_fails_the_gate(self, monkeypatch, capsys):
+        from repro.serving import identity
+        from repro.testing.__main__ import main
+
+        monkeypatch.setattr(
+            identity, "check_trace_identity",
+            lambda csr, pool_size, resilient:
+                ["seq 0 bfs: injected"] if resilient else [],
+        )
+        assert main(["identity"]) == 1
+        out = capsys.readouterr().out
+        assert "MISMATCH: telemetry on == off, pool_size=2, resilient " \
+            "lanes\n  seq 0 bfs: injected" in out
+        assert out.count("ok: ") == 7
