@@ -15,9 +15,10 @@ simulator outputs and get the tight ``rel_tolerance`` in both
 directions.  Leaves whose key starts with ``wall_`` are **host
 wall-clock** measurements from :mod:`repro.perf` — noisy across
 machines, and only bad in one direction — so they get the generous
-``wall_tolerance`` and are flagged only when they *regress* (throughput
-``wall_*_per_sec`` falling, any other ``wall_*`` time rising).  A faster
-candidate never fails the gate.
+``wall_tolerance`` and are flagged only when they *regress* by more than
+a factor of ``1 + wall_tolerance`` (throughput ``wall_*_per_sec``
+falling, any other ``wall_*`` time rising).  A faster candidate never
+fails the gate.
 
 ``bits_*`` leaves (``bits_per_edge``, ``bits_per_node`` — compression
 density from :mod:`repro.perf.compress` and Table I) are deterministic
@@ -88,11 +89,13 @@ def is_bits_metric(path: str) -> bool:
 def _wall_regressed(path: str, before: float, after: float,
                     tolerance: float) -> bool:
     """Direction-aware gate for wall metrics: throughputs may not fall,
-    times may not rise, each by more than ``tolerance`` (relative)."""
-    denom = max(abs(before), 1e-12)
+    times may not rise, each by more than a factor of ``1 + tolerance``
+    (a throughput that drops to zero always regresses)."""
     if "per_sec" in path.rsplit(".", 1)[-1]:
-        return (before - after) / denom > tolerance
-    return (after - before) / denom > tolerance
+        if after <= 0:
+            return before > 0
+        return before / after > 1 + tolerance
+    return (after - before) / max(abs(before), 1e-12) > tolerance
 
 
 def compare_reports(

@@ -286,6 +286,16 @@ class ResilientSession:
     # ------------------------------------------------------------------
 
     @property
+    def memo_hits(self) -> int:
+        """Frontier-memo hits, summed over the live rung sessions."""
+        return sum(s.memo_hits for s in self._sessions.values())
+
+    @property
+    def memo_misses(self) -> int:
+        """Frontier-memo misses, summed over the live rung sessions."""
+        return sum(s.memo_misses for s in self._sessions.values())
+
+    @property
     def entry_rung(self) -> str:
         return _MODE_RUNGS[self.config.memory_mode]
 

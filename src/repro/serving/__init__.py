@@ -15,8 +15,9 @@ The layer stack, bottom up:
   (visit, neighborhood, shortest-path, pagerank, stats);
 * :mod:`repro.serving.admission` — per-tenant quotas, deadline
   rejection at the door, EDF scheduling;
-* :mod:`repro.serving.pool` — resident engine-session lanes on the
-  simulated clock (bare or resilient);
+* :mod:`repro.serving.pool` — resident lanes on the simulated clock,
+  each a :class:`~repro.resilience.session.ResilientSession` running
+  the degradation ladder;
 * :mod:`repro.serving.service` — :class:`TraversalService` itself:
   dispatch, load shedding, degradation, per-tenant telemetry;
 * :mod:`repro.serving.health` — the self-healing plane: lane health

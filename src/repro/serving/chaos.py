@@ -433,7 +433,7 @@ def run_heal_chaos(
                 1 for e in events if e.kind == "brownout"
             )
             for worker in service.pool.workers:
-                injector = getattr(worker.session, "injector", None)
+                injector = worker.session.injector
                 if injector is not None:
                     report.faults_fired += len(injector.fired)
             if recorder is not None:

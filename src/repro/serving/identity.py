@@ -91,7 +91,7 @@ def check_service_identity(
     pool_size: int = 1,
 ) -> list[str]:
     """Serve ``queries`` (no deadlines, FIFO order) through a service
-    with ``pool_size`` bare lanes and compare every engine result
+    with ``pool_size`` fault-free lanes and compare every engine result
     against per-lane bare-session replays.  Returns mismatch
     descriptions; empty means the service is bit-identical to the
     sessions it fronts."""
@@ -167,7 +167,6 @@ def check_health_identity(
     device: DeviceSpec = GTX_1080TI,
     *,
     pool_size: int = 2,
-    resilient: bool = False,
 ) -> list[str]:
     """Serve the same healthy batch with the self-healing plane off and
     on, and describe every response-fact divergence (empty = the plane
@@ -176,9 +175,7 @@ def check_health_identity(
     Unlike :func:`check_service_identity` this compares the two service
     runs against *each other* — labels **and** simulated clocks, lane
     assignment, placement, sequence — because the plane's no-op contract
-    is about the whole schedule, not just the answer bits.  With
-    ``resilient=True`` the gate reruns over resilient (retry-capable)
-    lanes with no fault plan, covering the retry-wrapper path too.
+    is about the whole schedule, not just the answer bits.
     """
     def audit(service, responses) -> str | None:
         if service.health.level != 0:
@@ -188,7 +185,7 @@ def check_health_identity(
 
     return _on_off_mismatches(
         partial(TraversalService, csr, config or EtaGraphConfig(), device,
-                pool_size=pool_size, resilient=resilient),
+                pool_size=pool_size),
         [VisitRequest(problem=problem, source=source)
          for problem, source in queries],
         "health", {"health": True}, audit,
@@ -202,7 +199,6 @@ def check_trace_identity(
     device: DeviceSpec = GTX_1080TI,
     *,
     pool_size: int = 2,
-    resilient: bool = False,
 ) -> list[str]:
     """Serve the same batch with the full observability stack off and
     on — request-scoped tracing, SLO burn-rate monitors and the flight
@@ -239,7 +235,7 @@ def check_trace_identity(
 
     return _on_off_mismatches(
         partial(TraversalService, csr, config or EtaGraphConfig(), device,
-                pool_size=pool_size, resilient=resilient),
+                pool_size=pool_size),
         [VisitRequest(problem=problem, source=source, tenant="gate",
                       deadline_ms=50.0)
          for problem, source in queries],

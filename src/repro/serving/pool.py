@@ -1,14 +1,15 @@
 """Worker pool: resident engine sessions as schedulable lanes.
 
-A :class:`SessionPool` owns ``size`` resident sessions over one graph —
-bare :class:`~repro.core.session.EngineSession` workers by default, or
-:class:`~repro.resilience.session.ResilientSession` workers when the
-service runs with a fault plan or retry policy (the degradation ladder
-then rides under every request).  Each worker is a *lane* on the
-service's simulated clock: :attr:`PoolWorker.busy_until_ms` is when its
-current work finishes, and the dispatcher always picks the lane that
-frees first — the multi-queue analogue of the engine's own single
-simulated timeline.
+A :class:`SessionPool` owns ``size`` resident
+:class:`~repro.resilience.session.ResilientSession` workers over one
+graph — one lane kind, so the device → UM → zero-copy → CPU degradation
+ladder rides under every request, with or without a fault plan.  Without
+one, a lane's results are bit-identical to a bare
+:class:`~repro.core.session.EngineSession` serving the same queries.
+Each worker is a *lane* on the service's simulated clock:
+:attr:`PoolWorker.busy_until_ms` is when its current work finishes, and
+the dispatcher always picks the lane that frees first — the multi-queue
+analogue of the engine's own single simulated timeline.
 
 Checkout/checkin is explicit so the pool is also usable without the
 service: :meth:`checkout` hands out the least-busy idle worker and
@@ -26,10 +27,10 @@ what makes a served stream replayable (see
 standby swap (:mod:`repro.serving.health`): a fresh session is built
 *first*, takes over the same lane slot (bumping
 :attr:`PoolWorker.generation`), and only then is the sick session
-closed, so pool capacity never dips below ``size``.  Resilient standbys
-inherit the retired session's injector: fault-event counters keep
-advancing across the swap, which is what lets a finite sustained fault
-window drain and the lane's half-open probes succeed.
+closed, so pool capacity never dips below ``size``.  Standbys inherit
+the retired session's injector: fault-event counters keep advancing
+across the swap, which is what lets a finite sustained fault window
+drain and the lane's half-open probes succeed.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import EtaGraphConfig
-from repro.core.session import EngineSession
 from repro.errors import QuotaExceededError, SessionClosedError
 from repro.gpu.device import DeviceSpec, GTX_1080TI
 from repro.graph.csr import CSRGraph
@@ -50,13 +50,11 @@ class PoolWorker:
     """One lane: a resident session plus its simulated-clock position."""
 
     index: int
-    session: EngineSession | ResilientSession
+    session: ResilientSession
     #: Simulated time at which this lane's current work completes.
     busy_until_ms: float = 0.0
     #: Requests this lane has served (successfully or not).
     served: int = 0
-    #: Whether :attr:`session` is a :class:`ResilientSession`.
-    resilient: bool = False
     #: Whether the lane is currently checked out.
     checked_out: bool = field(default=False, repr=False)
     #: Warm-standby swaps this lane has been through (0 = the original
@@ -84,7 +82,6 @@ class SessionPool:
         fault_plan: FaultPlan | None = None,
         fault_plans: dict[int, FaultPlan] | None = None,
         policy: RetryPolicy | None = None,
-        resilient: bool | None = None,
     ):
         if size < 1:
             raise QuotaExceededError(f"pool size must be >= 1, got {size}")
@@ -96,36 +93,25 @@ class SessionPool:
         #: ``fault_plan`` for lane ``i``) — the chaos battery's way of
         #: making one lane sick while its neighbours stay clean.
         self.fault_plans = dict(fault_plans or {})
-        # A fault plan or explicit policy needs the resilient wrapper;
-        # otherwise bare sessions keep the no-overhead fast path.
-        if resilient is None:
-            resilient = (fault_plan is not None or bool(self.fault_plans)
-                         or policy is not None)
-        if (fault_plan is not None or self.fault_plans) and not resilient:
-            raise QuotaExceededError(
-                "a fault plan requires resilient workers"
-            )
-        self.resilient = resilient
-        self._fault_plan = fault_plan
-        self.workers: list[PoolWorker] = []
-        for index in range(size):
-            if resilient:
-                session = ResilientSession(
-                    csr, self.config, device,
-                    # Each lane gets its own injector state: the plan's
-                    # schedule replays identically per worker.
-                    fault_plan=self.fault_plans.get(index, fault_plan),
-                    policy=self.policy,
-                    # Desynchronize retry storms: each lane draws its
-                    # backoff jitter from its own seeded stream.
-                    jitter_seed=index,
-                )
-            else:
-                session = EngineSession(csr, self.config, device)
-            self.workers.append(
-                PoolWorker(index=index, session=session, resilient=resilient)
-            )
+        self.workers = [
+            PoolWorker(index=index, session=self._session(
+                index,
+                # Each lane gets its own injector state: the plan's
+                # schedule replays identically per worker.
+                fault_plan=self.fault_plans.get(index, fault_plan),
+            ))
+            for index in range(size)
+        ]
         self._closed = False
+
+    def _session(self, index: int, *, fault_plan: FaultPlan | None = None
+                 ) -> ResilientSession:
+        """A fresh lane session.  ``index`` seeds its backoff-jitter
+        stream, desynchronizing retry storms across lanes."""
+        return ResilientSession(
+            self.csr, self.config, self.device, fault_plan=fault_plan,
+            policy=self.policy, jitter_seed=index,
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -157,8 +143,7 @@ class SessionPool:
         state = "closed" if self._closed else (
             f"{sum(w.served for w in self.workers)} served"
         )
-        kind = "resilient" if self.resilient else "bare"
-        return f"SessionPool({self.size} {kind} workers, {state})"
+        return f"SessionPool({self.size} workers, {state})"
 
     # ------------------------------------------------------------------
     # Checkout / checkin
@@ -220,8 +205,8 @@ class SessionPool:
 
         Ordering is the capacity guarantee: the replacement is fully
         constructed *before* the old session is closed, so at no instant
-        does the pool hold fewer than ``size`` live sessions.  Resilient
-        standbys take over the retired session's injector — its
+        does the pool hold fewer than ``size`` live sessions.  The
+        standby takes over the retired session's injector — its
         per-kind event counters and fired log — so a sustained fault
         plan keeps draining across the swap instead of restarting.
         Returns the lane's new generation number.
@@ -233,14 +218,8 @@ class SessionPool:
                 f"worker {worker.index} does not belong to this pool"
             )
         old = worker.session
-        if worker.resilient:
-            standby = ResilientSession(
-                self.csr, self.config, self.device,
-                policy=self.policy, jitter_seed=worker.index,
-            )
-            standby.injector = old.injector
-        else:
-            standby = EngineSession(self.csr, self.config, self.device)
+        standby = self._session(worker.index)
+        standby.injector = old.injector
         worker.session = standby
         worker.generation += 1
         old.close()
@@ -261,16 +240,7 @@ class SessionPool:
         """
         if self._closed:
             raise SessionClosedError("session pool is closed")
-        if self.resilient:
-            session = ResilientSession(
-                self.csr, self.config, self.device,
-                policy=self.policy, jitter_seed=self.size,
-            )
-        else:
-            session = EngineSession(self.csr, self.config, self.device)
-        return PoolWorker(
-            index=self.size, session=session, resilient=self.resilient,
-        )
+        return PoolWorker(index=self.size, session=self._session(self.size))
 
     @property
     def idle_at_ms(self) -> float:

@@ -225,7 +225,7 @@ class TraversalResponse:
     attempts: int = 0
     #: The underlying engine result, when the endpoint ran a traversal.
     result: object = None
-    #: Injected faults observed while serving (resilient worker path).
+    #: Injected faults observed while serving.
     faults_seen: list = field(default_factory=list)
     #: Whether the self-healing plane launched a hedge leg for this
     #: request, and whether that leg's finish won the race (the response

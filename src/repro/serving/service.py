@@ -18,12 +18,13 @@ SLO semantics:
   terminal :class:`~repro.serving.requests.TraversalResponse` with
   ``shed=True`` and a recorded
   :class:`~repro.errors.DeadlineExceededError`, zero worker time spent.
-* **Degradation**: with resilient workers (a fault plan or retry
-  policy), every request rides the device → UM → zero-copy → CPU
-  ladder; the response records the final placement and whether it was
-  degraded.
+* **Degradation**: every lane is a
+  :class:`~repro.resilience.session.ResilientSession`, so every request
+  rides the device → UM → zero-copy → CPU ladder — under a fault plan,
+  and on a genuine device OOM without one; the response records the
+  final placement and whether it was degraded.
 
-Bit-identity contract: with bare workers and no deadlines, the engine
+Bit-identity contract: with no fault plan and no deadlines, the engine
 results a service returns are bit-identical (labels *and* simulated
 clocks) to the same query stream on bare ``EngineSession`` objects —
 per lane, in dispatch order.  :mod:`repro.serving.identity` gates this.
@@ -33,9 +34,10 @@ Telemetry: ``telemetry=True`` gives the service a
 tree* per admitted request, keyed by the ``request_id`` assigned at
 admission: a ``request`` span (arrival → terminal answer) containing a
 ``queue`` interval (EDF wait), a ``dispatch`` span (lane occupancy)
-with the engine/resilience sub-trace grafted underneath at the dispatch
-instant, and — when the self-healing plane hedged — a ``hedge`` span on
-the dedicated hedge track carrying the spare replica's sub-trace.
+with the lane's resilience sub-trace grafted underneath at the dispatch
+instant (``dispatch > serve > attempt > engine``, one ``attempt`` per
+rung try), and — when the self-healing plane hedged — a ``hedge`` span
+on the dedicated hedge track carrying the spare replica's sub-trace.
 Waves record one shared ``wave`` span; member ``request`` spans point
 at it via a ``wave_sid`` attr.  Breaker and brownout transitions land
 as first-class events on the ``alerts`` track.  ``summarize --request
@@ -100,7 +102,6 @@ class TraversalService:
         fault_plan: FaultPlan | None = None,
         fault_plans: dict[int, FaultPlan] | None = None,
         policy: RetryPolicy | None = None,
-        resilient: bool | None = None,
         telemetry: bool = False,
         max_series: int = 64,
         wave_width: int = 0,
@@ -114,7 +115,7 @@ class TraversalService:
         self.pool = SessionPool(
             csr, self.config, device, size=pool_size,
             fault_plan=fault_plan, fault_plans=fault_plans,
-            policy=policy, resilient=resilient,
+            policy=policy,
         )
         self.queue = AdmissionQueue(
             quotas=quotas,
@@ -434,18 +435,16 @@ class TraversalService:
         self, group: list[AdmittedRequest], worker: PoolWorker,
         start: float,
     ) -> list[TraversalResponse]:
-        from repro.core import msbfs
-
         sources = [a.request.source for a in group]
         responses: list[TraversalResponse] = []
-        placement = _MODE_RUNGS[self.config.memory_mode]
+        # A failed wave keeps these defaults: no placement, one attempt.
+        placement = ""
         degraded = False
         attempts = 1
         faults: list[str] = []
         error: str | None = None
         lane_results: list = []
         service_ms = 0.0
-        backoff_ms = 0.0
         tr = self.tracer
         wtr = None
         if tr is not None:
@@ -458,22 +457,18 @@ class TraversalService:
             if wtr is not None:
                 session.tracer = wtr
             try:
-                if worker.resilient:
-                    outcome = worker.session.run_wave(sources)
-                    wave = outcome.result
-                    placement = outcome.final_placement
-                    degraded = outcome.degraded
-                    attempts = outcome.num_attempts
-                    faults = list(outcome.faults_seen)
-                    backoff_ms = outcome.backoff_ms
-                else:
-                    wave = msbfs.run_wave(worker.session, sources)
+                outcome = session.run_wave(sources)
             finally:
                 if wtr is not None:
                     session.tracer = prev_tracer
+            wave = outcome.result
+            placement = outcome.final_placement
+            degraded = outcome.degraded
+            attempts = outcome.num_attempts
+            faults = list(outcome.faults_seen)
             # Retry backoff is real lane time: requests queued behind a
             # flaky serve wait through its backoffs too.
-            service_ms = wave.total_ms + wave.d2h_ms + backoff_ms
+            service_ms = wave.total_ms + wave.d2h_ms + outcome.backoff_ms
             lane_results = wave.to_results()
         except ReproError as exc:
             # One traversal, one fate: a typed failure fails every lane
@@ -503,7 +498,7 @@ class TraversalService:
                 request_id=adm.request_id,
                 arrival_ms=adm.arrival_ms, start_ms=start,
                 worker=worker.index,
-                placement="" if error is not None else placement,
+                placement=placement,
                 attempts=attempts,
             )
             response.finish_ms = finish
@@ -892,8 +887,6 @@ class TraversalService:
             request=request, seq=adm.seq, ok=True,
             arrival_ms=adm.arrival_ms, start_ms=start,
             worker=standby.index,
-            placement=_MODE_RUNGS[self.config.memory_mode],
-            attempts=1,
         )
         # The hedge launches once the primary has overshot the
         # threshold — not at dispatch (that would double every suspect
@@ -907,19 +900,11 @@ class TraversalService:
 
             htr = Tracer()
         try:
-            if isinstance(request, VisitRequest):
-                hedge_ms = self._run_visit(
-                    standby, hedge, request.problem, request.source,
-                    target=request.target,
-                    iteration_budget=adm.iteration_budget,
-                    tracer=htr,
-                )
-            else:
-                hedge_ms = self._run_visit(
-                    standby, hedge, "bfs", request.source,
-                    target=None, iteration_budget=adm.iteration_budget,
-                    tracer=htr,
-                )
+            hedge_ms = self._run_visit(
+                standby, hedge, getattr(request, "problem", "bfs"),
+                request.source, target=getattr(request, "target", None),
+                iteration_budget=adm.iteration_budget, tracer=htr,
+            )
         except ReproError:
             # A failed hedge leg never touches the request: the primary
             # already answered.  The standby is clean by construction
@@ -1014,50 +999,27 @@ class TraversalService:
         prev_tracer = session.tracer
         if tracer is not None:
             session.tracer = tracer
+        policy = session.policy
+        if iteration_budget is not None:
+            # Budget exhaustion is an SLO outcome, not an engine defect:
+            # the ladder maps it to DeadlineExceededError.
+            policy = replace(policy, max_iterations=iteration_budget)
         try:
-            if worker.resilient:
-                policy = worker.session.policy
-                if iteration_budget is not None:
-                    policy = replace(policy, max_iterations=iteration_budget)
-                outcome = worker.session.run(
-                    problem, source, target=target, policy=policy,
-                )
-                result = outcome.result
-                response.placement = outcome.final_placement
-                response.degraded = outcome.degraded
-                response.attempts = outcome.num_attempts
-                response.faults_seen = list(outcome.faults_seen)
-                response.result = outcome.result
-                response.value = outcome.result.labels
-                # Retry backoff is real lane time: a flaky serve makes
-                # the requests queued behind it wait through its
-                # backoffs too.
-                return (outcome.result.total_ms + outcome.result.d2h_ms
-                        + outcome.backoff_ms)
-            else:
-                from repro.errors import ConvergenceError
-
-                try:
-                    result = worker.session.query(
-                        problem, source, target=target,
-                        max_iterations=iteration_budget,
-                    )
-                except ConvergenceError as exc:
-                    if iteration_budget is not None:
-                        # Budget exhaustion is an SLO outcome, not an
-                        # engine defect — same mapping the resilient
-                        # path applies.
-                        raise DeadlineExceededError(
-                            f"query exceeded its iteration budget of "
-                            f"{iteration_budget}"
-                        ) from exc
-                    raise
+            outcome = session.run(problem, source, target=target,
+                                  policy=policy)
         finally:
             if tracer is not None:
                 session.tracer = prev_tracer
+        result = outcome.result
+        response.placement = outcome.final_placement
+        response.degraded = outcome.degraded
+        response.attempts = outcome.num_attempts
+        response.faults_seen = list(outcome.faults_seen)
         response.result = result
         response.value = result.labels
-        return result.total_ms + result.d2h_ms
+        # Retry backoff is real lane time: a flaky serve makes the
+        # requests queued behind it wait through its backoffs too.
+        return result.total_ms + result.d2h_ms + outcome.backoff_ms
 
     def _run_neighborhood(
         self, worker: PoolWorker, response: TraversalResponse,
@@ -1089,8 +1051,7 @@ class TraversalService:
             pool = self._path_pool = SessionPool(
                 self.csr, self.config.with_track_parents(), self.device,
                 size=1, fault_plan=self._fault_plan,
-                policy=self.pool.policy if self.pool.resilient else None,
-                resilient=self.pool.resilient,
+                policy=self.pool.policy,
             )
         worker = pool.checkout()
         try:

@@ -136,14 +136,12 @@ def _identity_legs() -> list[tuple[str, Callable[[], list[str]]]]:
          partial(identity.check_service_identity, csr, pool_size=size))
         for size in (1, 2)
     ]
-    for plane, check in (("health", identity.check_health_identity),
-                         ("telemetry", identity.check_trace_identity)):
-        legs += [
-            (f"{plane} on == off, pool_size=2, "
-             f"{'resilient' if resilient else 'bare'} lanes",
-             partial(check, csr, pool_size=2, resilient=resilient))
-            for resilient in (False, True)
-        ]
+    legs += [
+        (f"{plane} on == off, pool_size=2",
+         partial(check, csr, pool_size=2))
+        for plane, check in (("health", identity.check_health_identity),
+                             ("telemetry", identity.check_trace_identity))
+    ]
     return legs
 
 

@@ -377,7 +377,6 @@ class TestServingWaves:
         requests = self._requests(6)
         with TraversalService(
             skewed_graph, quotas=self.QUOTA, wave_width=8,
-            resilient=True,
         ) as service:
             responses = service.serve(requests)
         for i, r in enumerate(responses):

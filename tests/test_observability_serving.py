@@ -135,14 +135,16 @@ class TestRequestSpanTree:
                 c for c in trace.children_of(root.sid)
                 if c.name == "dispatch"
             )
-            # Engine records are grafted under the dispatch span and
-            # re-based onto the service clock.
-            engine = [
-                c for c in trace.children_of(dispatch.sid)
-                if c.category == "engine"
-            ]
-            assert engine
-            for rec in engine:
+            # The lane's ladder is grafted under the dispatch span and
+            # re-based onto the service clock: dispatch > serve >
+            # attempt > engine.
+            serve = trace.children_of(dispatch.sid)
+            assert [c.name for c in serve] == ["serve"]
+            attempt = trace.children_of(serve[0].sid)
+            assert [c.name for c in attempt] == ["attempt"]
+            engine = trace.children_of(attempt[0].sid)
+            assert [c.category for c in engine] == ["engine"]
+            for rec in serve + attempt + engine:
                 assert rec.attrs["request_id"] == root.attrs["request_id"]
                 assert "lane" in rec.attrs
                 assert rec.start_ms >= dispatch.start_ms - 1e-9
@@ -532,8 +534,12 @@ class TestTraceIdentity:
         assert check_trace_identity(csr, pool_size=2) == []
 
     def test_observational_over_resilient_lanes(self):
+        from repro.core.config import EtaGraphConfig, MemoryMode
         from repro.serving.identity import check_trace_identity
 
+        # Every lane is resilient; this leg enters the ladder at the
+        # device rung instead of the default um_prefetch one.
         csr = erdos_renyi(40, 160, seed=1)
-        assert check_trace_identity(csr, pool_size=2, resilient=True) \
+        config = EtaGraphConfig(memory_mode=MemoryMode.DEVICE)
+        assert check_trace_identity(csr, config=config, pool_size=2) \
             == []

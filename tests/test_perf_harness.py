@@ -137,3 +137,15 @@ class TestWallMetricGating:
         assert compare_reports(self.BASE, after, wall_tolerance=0.75) == []
         drifts = compare_reports(self.BASE, after, wall_tolerance=0.25)
         assert [d.path for d in drifts] == ["g.wall_s"]
+
+    def test_throughput_tolerance_is_a_ratio(self):
+        # CI's tolerance of 4 allows a 5x slowdown in either direction:
+        # a 1000x throughput drop must fail it, a 4x drop must not.
+        after = self._with(wall_edges_per_sec=0.1)
+        drifts = compare_reports(self.BASE, after, wall_tolerance=4)
+        assert [d.path for d in drifts] == ["g.wall_edges_per_sec"]
+        after = self._with(wall_edges_per_sec=25.0)
+        assert compare_reports(self.BASE, after, wall_tolerance=4) == []
+        after = self._with(wall_edges_per_sec=0.0)
+        drifts = compare_reports(self.BASE, after, wall_tolerance=4)
+        assert [d.path for d in drifts] == ["g.wall_edges_per_sec"]

@@ -161,13 +161,16 @@ class TestPool:
         pool.close()  # idempotent
 
     def test_fault_plan_forces_resilient_workers(self, tiny_graph):
-        from repro.resilience import FaultPlan
+        from repro.resilience import FaultPlan, ResilientSession
 
         with SessionPool(
             tiny_graph, size=1, fault_plan=FaultPlan(),
         ) as pool:
-            assert pool.resilient
-            assert pool.workers[0].resilient
+            assert isinstance(pool.workers[0].session, ResilientSession)
+        # One lane kind: a pool without a plan runs the ladder too.
+        with SessionPool(tiny_graph, size=2) as pool:
+            assert all(isinstance(w.session, ResilientSession)
+                       for w in pool.workers)
 
 
 # ----------------------------------------------------------------------
@@ -387,13 +390,18 @@ class TestTelemetry:
         assert sheds[0].attrs["request_id"] == "req-00001"
         assert "service" in trace.categories()
         # The request tree nests: queue + dispatch under the request
-        # span, engine sub-spans grafted under dispatch.
+        # span, then the lane's ladder — dispatch > serve > attempt >
+        # engine.
         kids = trace.children_of(served[0].sid)
         names = [r.name for r in kids]
         assert "queue" in names and "dispatch" in names
         dispatch = next(r for r in kids if r.name == "dispatch")
         grafted = trace.children_of(dispatch.sid)
-        assert any(r.category == "engine" for r in grafted)
+        assert [r.name for r in grafted] == ["serve"]
+        attempts = trace.children_of(grafted[0].sid)
+        assert [r.name for r in attempts] == ["attempt"]
+        engine = trace.children_of(attempts[0].sid)
+        assert [r.category for r in engine] == ["engine"]
 
     def test_telemetry_off_by_default(self, tiny_graph):
         with TraversalService(tiny_graph) as service:
@@ -516,12 +524,12 @@ class TestLaneAccounting:
         leave pool capacity intact (the try/finally dispatch contract)."""
         with TraversalService(tiny_graph, pool_size=2) as service:
             worker = service.pool.workers[0]
-            original = worker.session.query
+            original = worker.session.run
 
             def poisoned(*args, **kwargs):
                 raise RuntimeError("poisoned lane")
 
-            worker.session.query = poisoned
+            worker.session.run = poisoned
             try:
                 with pytest.raises(RuntimeError):
                     service.call(VisitRequest(source=0))
@@ -530,7 +538,7 @@ class TestLaneAccounting:
                     w.checked_out for w in service.pool.workers
                 )
             finally:
-                worker.session.query = original
+                worker.session.run = original
             # The pool still serves: no lane was lost to the crash.
             assert service.call(VisitRequest(source=0)).ok
 

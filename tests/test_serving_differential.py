@@ -121,11 +121,9 @@ class TestOtherEndpoints:
 
 class TestResilientWorkers:
     def test_no_fault_resilient_service_is_bit_identical(self, skewed_graph):
-        # resilient=True with no plan must add nothing: same digests as
+        # Resilient lanes with no plan must add nothing: same digests as
         # a bare session.
-        with TraversalService(
-            skewed_graph, pool_size=1, resilient=True,
-        ) as service:
+        with TraversalService(skewed_graph, pool_size=1) as service:
             responses = service.serve([
                 VisitRequest(problem=p, source=s) for p, s in QUERIES
             ])
@@ -133,6 +131,34 @@ class TestResilientWorkers:
             for response, (problem, source) in zip(responses, QUERIES):
                 want = result_digest(session.query(problem, source))
                 assert result_digest(response.result) == want
+
+    def test_device_oom_degrades_without_a_fault_plan(self):
+        # A genuine OOM needs no fault plan to reach the ladder: a device
+        # whose memory holds only the topology arrays (no room for
+        # labels) serves the visit on the UM rung instead of failing.
+        import dataclasses
+
+        from repro.gpu.device import GTX_1080TI
+        from repro.graph.generators import rmat
+
+        graph = rmat(12, 40000, seed=1)
+        device = dataclasses.replace(
+            GTX_1080TI, memory_capacity=graph.row_offsets.nbytes
+            + graph.column_indices.nbytes,
+        )
+        config = EtaGraphConfig(memory_mode=MemoryMode.DEVICE)
+        with TraversalService(graph, config, device, pool_size=1) as service:
+            first = service.call(VisitRequest(problem="bfs", source=0))
+            second = service.call(VisitRequest(problem="bfs", source=1))
+        for response, source in ((first, 0), (second, 1)):
+            assert response.ok, response.error
+            assert response.placement == "um_prefetch"
+            assert response.degraded
+            np.testing.assert_array_equal(
+                response.labels, oracle_labels(graph, "bfs", source),
+            )
+        # The device rung failed once and is skipped from then on.
+        assert (first.attempts, second.attempts) == (2, 1)
 
     @pytest.mark.parametrize("plan_seed", [1, 7, 23])
     def test_faulted_service_replays_resilient_session(

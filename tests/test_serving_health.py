@@ -328,7 +328,7 @@ class TestBrownout:
 class TestHealthIdentity:
     def test_plane_is_observational_on_healthy_paths(self, graph):
         assert check_health_identity(graph) == []
-        assert check_health_identity(graph, resilient=True) == []
+        assert check_health_identity(graph, pool_size=1) == []
 
     def test_identity_covers_clocks_not_just_labels(self, graph):
         # The gate must compare schedules: build two services and check

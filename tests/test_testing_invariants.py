@@ -211,7 +211,7 @@ class TestIdentityCLI:
 
         assert main(["identity"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 8
+        assert len(lines) == 6
         assert all(line.startswith("ok: ") for line in lines)
 
     def test_one_mismatching_leg_fails_the_gate(self, monkeypatch, capsys):
@@ -220,11 +220,10 @@ class TestIdentityCLI:
 
         monkeypatch.setattr(
             identity, "check_trace_identity",
-            lambda csr, pool_size, resilient:
-                ["seq 0 bfs: injected"] if resilient else [],
+            lambda csr, pool_size: ["seq 0 bfs: injected"],
         )
         assert main(["identity"]) == 1
         out = capsys.readouterr().out
-        assert "MISMATCH: telemetry on == off, pool_size=2, resilient " \
-            "lanes\n  seq 0 bfs: injected" in out
-        assert out.count("ok: ") == 7
+        assert "MISMATCH: telemetry on == off, pool_size=2\n" \
+            "  seq 0 bfs: injected" in out
+        assert out.count("ok: ") == 5
