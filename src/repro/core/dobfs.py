@@ -5,9 +5,16 @@ optimization for traversal; this module provides it as an extension:
 when the frontier grows past a threshold, iterations switch from *push*
 (top-down, UDC shadow vertices over out-edges) to *pull* (bottom-up:
 every unvisited vertex scans its in-edges and adopts a parent from the
-frontier, exiting at the first hit).  Pull iterations read the CSC,
-which is built once and transferred alongside the CSR — the extra memory
-is the price of the hybrid, and :class:`DOBFSResult` reports it.
+frontier, exiting at the first hit).
+
+:func:`direction_optimized_bfs` is a thin driver, a session of one like
+:meth:`~repro.core.engine.EtaGraphEngine.run`: its payload rides
+:meth:`EngineSession._traverse <repro.core.session.EngineSession._traverse>`,
+the loop queries and MSBFS waves share, so the hybrid honours
+``memory_mode``, the fault injector and telemetry, and its push
+iterations are exactly a query's.  Pull iterations read the CSC, which
+the session places once next to the CSR — the extra memory is the price
+of the hybrid, and :class:`DOBFSResult` reports it.
 
 The switch heuristic is Beamer's: pull when the frontier's out-edge
 count exceeds ``|E| / alpha``; push again when the frontier shrinks
@@ -20,19 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.algorithms.base import get_problem
 from repro.core.config import EtaGraphConfig
-from repro.core.frontier import FrontierBuffers
-from repro.core.udc import degree_cut
-from repro.errors import ConfigError, ConvergenceError, InvalidLaunchError
-from repro.gpu.cache import CacheHierarchy
+from repro.core.session import EngineSession, _LabelPayload
+from repro.errors import ConfigError, InvalidLaunchError
 from repro.gpu.device import DeviceSpec, GTX_1080TI
-from repro.gpu.kernel import simulate_vertex_kernel
-from repro.gpu.memory import DeviceMemory
 from repro.gpu.profiler import Profiler
-from repro.gpu.transfer import d2h_copy, h2d_copy
-from repro.graph.csc import CSCGraph
 from repro.graph.csr import CSRGraph
-from repro.utils.ragged import ragged_gather_indices
 
 
 @dataclass
@@ -46,12 +47,60 @@ class DOBFSResult:
     kernel_ms: float
     #: "push" / "pull" per iteration.
     directions: list[str] = field(default_factory=list)
+    #: Device plus UM bytes (CSR, CSC and working buffers); pinned host
+    #: topology under zero-copy and direct access is not counted.
     device_bytes: int = 0
     profiler: Profiler | None = None
 
     @property
     def pull_iterations(self) -> int:
         return sum(1 for d in self.directions if d == "pull")
+
+
+class _DirectionPayload(_LabelPayload):
+    """BFS labels propagated push or pull, one direction per iteration
+    by Beamer's rule."""
+
+    def __init__(self, source: int, alpha: float, beta: float):
+        super().__init__(get_problem("bfs"), source, None)
+        self.name = "dobfs"
+        self.alpha = alpha
+        self.beta = beta
+        # A frontier's out-edges never exceed |E|, so alpha <= 1 can
+        # never pull and the session need not place the CSC.
+        self.can_pull = alpha > 1
+        self.pulling = False
+        self.directions: list[str] = []
+
+    def pulls(self, active, offsets) -> bool:
+        frontier_edges = int(
+            (offsets[active + 1].astype(np.int64)
+             - offsets[active].astype(np.int64)).sum()
+        )
+        if not self.pulling and frontier_edges > offsets[-1] / self.alpha:
+            self.pulling = True
+        elif self.pulling and len(active) < (len(offsets) - 1) / self.beta:
+            self.pulling = False
+        self.directions.append("pull" if self.pulling else "push")
+        return self.pulling
+
+    def pull(self, ids, degrees, in_nbrs, iteration: int):
+        """Bottom-up step: an unvisited vertex with an in-neighbour on
+        level ``iteration`` takes ``iteration + 1``."""
+        hit = self.labels[in_nbrs] == iteration
+        owner = np.repeat(np.arange(len(ids)), degrees)
+        found_local = np.unique(owner[hit])
+        found = ids[found_local]
+        self.labels[found] = iteration + 1
+        self.visited[found] = True
+        # Cost: each pull thread scans in-edges until its first hit;
+        # threads that find a parent early stop (model: ~35% of their
+        # in-degree on average), the rest scan everything.
+        scanned = degrees.copy()
+        scanned[found_local] = np.maximum(
+            1, (scanned[found_local] * 0.35).astype(np.int64)
+        )
+        return scanned, found
 
 
 def direction_optimized_bfs(
@@ -72,153 +121,18 @@ def direction_optimized_bfs(
         raise ConfigError("alpha and beta must be positive")
     if not 0 <= source < csr.num_vertices:
         raise InvalidLaunchError(f"source {source} out of range")
-    cfg = config or EtaGraphConfig()
-    spec = device
-
-    mem = DeviceMemory(spec)
-    caches = CacheHierarchy(spec)
-    prof = Profiler()
-    clock = 0.0
-
-    csc = CSCGraph.from_csr(csr)
-
-    offsets_arr = mem.alloc("row_offsets", csr.row_offsets)
-    cols_arr = mem.alloc("column_indices", csr.column_indices)
-    csc_offsets_arr = mem.alloc("csc_offsets", csc.col_offsets)
-    csc_rows_arr = mem.alloc("csc_rows", csc.row_indices)
-    labels_arr = mem.alloc(
-        "labels", np.full(csr.num_vertices, np.inf, dtype=np.float32)
-    )
-    frontier = FrontierBuffers(
-        mem, csr.num_vertices, csr.num_edges, cfg.degree_limit
-    )
-    for arr in (offsets_arr, cols_arr, csc_offsets_arr, csc_rows_arr,
-                labels_arr):
-        clock += h2d_copy(spec, prof, arr.nbytes)
-
-    labels = labels_arr.data
-    labels[source] = 0.0
-    offsets = csr.row_offsets
-    cols = csr.column_indices
-    in_offsets = csc.col_offsets
-    in_rows = csc.row_indices
-    in_degrees = csc.in_degrees().astype(np.int64)
-
-    kernel_ms = 0.0
-    directions: list[str] = []
-    active = np.array([source], dtype=np.int64)
-    level = 0
-    pulling = False
-    while len(active):
-        if level >= cfg.max_iterations:
-            raise ConvergenceError("DOBFS exceeded the iteration budget")
-        frontier_edges = int(
-            (offsets[active + 1].astype(np.int64)
-             - offsets[active].astype(np.int64)).sum()
+    payload = _DirectionPayload(source, alpha, beta)
+    with EngineSession(csr, config, device) as session:
+        session._check_request(payload.problem, None)
+        run = session._traverse(payload, None)
+        return DOBFSResult(
+            labels=payload.labels.copy(),
+            source=source,
+            iterations=run["stats"].num_iterations,
+            total_ms=run["total_ms"],
+            kernel_ms=run["kernel_ms"],
+            directions=payload.directions,
+            device_bytes=(session.memory.device_bytes_in_use
+                          + session.memory.um_bytes_allocated),
+            profiler=run["profiler"],
         )
-        if not pulling and frontier_edges > csr.num_edges / alpha:
-            pulling = True
-        elif pulling and len(active) < csr.num_vertices / beta:
-            pulling = False
-
-        if pulling:
-            directions.append("pull")
-            changed, timing = _pull_iteration(
-                spec, caches, cfg, labels, level, in_offsets, in_rows,
-                in_degrees, csc_rows_arr, labels_arr, frontier,
-            )
-        else:
-            directions.append("push")
-            changed, timing = _push_iteration(
-                spec, caches, cfg, labels, level, active, offsets, cols,
-                cols_arr, labels_arr, frontier,
-            )
-        if timing is not None:
-            prof.record_kernel(timing.counters)
-            kernel_ms += timing.time_ms
-            clock += timing.time_ms
-        active = changed
-        level += 1
-
-    total_ms = clock
-    d2h_copy(spec, prof, labels_arr.nbytes)
-    return DOBFSResult(
-        labels=labels.copy(),
-        source=source,
-        iterations=level,
-        total_ms=total_ms,
-        kernel_ms=kernel_ms,
-        directions=directions,
-        device_bytes=mem.device_bytes_in_use,
-        profiler=prof,
-    )
-
-
-def _push_iteration(spec, caches, cfg, labels, level, active, offsets, cols,
-                    cols_arr, labels_arr, frontier):
-    """Standard EtaGraph-style top-down expansion of the frontier."""
-    shadows = degree_cut(active, offsets, cfg.degree_limit)
-    if len(shadows) == 0:
-        return np.empty(0, dtype=np.int64), None
-    edge_idx = ragged_gather_indices(shadows.starts, shadows.degrees)
-    nbr = cols[edge_idx].astype(np.int64)
-    fresh = np.unique(nbr[np.isinf(labels[nbr])])
-    labels[fresh] = level + 1
-    timing = simulate_vertex_kernel(
-        spec, caches,
-        starts=shadows.starts,
-        degrees=shadows.degrees,
-        adj_array=cols_arr,
-        neighbor_ids=nbr,
-        label_array=labels_arr,
-        meta_array=frontier.virt_act_set,
-        meta_words_per_thread=3,
-        smp=cfg.smp,
-        degree_limit=cfg.degree_limit,
-        updates=len(fresh),
-        instr_per_edge=8.0,
-        threads_per_block=cfg.threads_per_block,
-    )
-    return fresh, timing
-
-
-def _pull_iteration(spec, caches, cfg, labels, level, in_offsets, in_rows,
-                    in_degrees, csc_rows_arr, labels_arr, frontier):
-    """Bottom-up step: unvisited vertices look for a frontier parent."""
-    unvisited = np.flatnonzero(np.isinf(labels)).astype(np.int64)
-    if len(unvisited) == 0:
-        return np.empty(0, dtype=np.int64), None
-    starts = in_offsets[unvisited].astype(np.int64)
-    degs = in_offsets[unvisited + 1].astype(np.int64) - starts
-    edge_idx = ragged_gather_indices(starts, degs)
-    parents = in_rows[edge_idx].astype(np.int64)
-    hit = labels[parents] == level
-    owner = np.repeat(np.arange(len(unvisited)), degs)
-    found_local = np.unique(owner[hit])
-    found = unvisited[found_local]
-    labels[found] = level + 1
-
-    # Cost: each pull thread scans in-edges until its first hit; threads
-    # that find a parent early stop (model: ~35% of their in-degree on
-    # average), the rest scan everything.
-    scanned = degs.copy()
-    scanned[found_local] = np.maximum(1, (scanned[found_local] * 0.35)
-                                      .astype(np.int64))
-    # Build a neighbor sample consistent with the scanned counts for the
-    # label-gather stream.
-    scan_idx = ragged_gather_indices(starts, scanned)
-    timing = simulate_vertex_kernel(
-        spec, caches,
-        starts=starts,
-        degrees=scanned,
-        adj_array=csc_rows_arr,
-        neighbor_ids=in_rows[scan_idx].astype(np.int64),
-        label_array=labels_arr,
-        meta_array=frontier.act_set,
-        meta_words_per_thread=1,
-        smp=False,  # pull's early exit defeats fixed-length prefetch
-        updates=len(found),
-        instr_per_edge=7.0,
-        threads_per_block=cfg.threads_per_block,
-    )
-    return found, timing

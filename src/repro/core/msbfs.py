@@ -177,6 +177,7 @@ class _LaneMasks:
 
     span = "wave_query"
     buffer = "wave-masks"
+    can_pull = False
 
     def __init__(self, sources: np.ndarray):
         width = len(sources)
@@ -202,6 +203,9 @@ class _LaneMasks:
 
     def seeds(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
+
+    def pulls(self, active, offsets) -> bool:
+        return False
 
     def step(self, entry, active, iteration: int):
         # One OR-propagation for all lanes.

@@ -24,9 +24,11 @@ Accounting is *measured*, not reconstructed:
 
 ``EtaGraphEngine.run`` is a session-of-one built on this class, so the
 one-shot path and the first query of a fresh session are the same code —
-bit-identical labels and identical clock arithmetic.  Queries and MSBFS
-waves (:mod:`repro.core.msbfs`) share one traversal loop,
-:meth:`EngineSession._traverse`; only the propagated payload differs.
+bit-identical labels and identical clock arithmetic.  Queries, MSBFS
+waves (:mod:`repro.core.msbfs`) and direction-optimized BFS
+(:mod:`repro.core.dobfs`) share one traversal loop,
+:meth:`EngineSession._traverse`; only the propagated payload differs, and
+only a payload that can pull makes the session place the in-edge CSC.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from repro.gpu.timeline import Timeline
 from repro.gpu.transfer import d2h_copy, direct_access_read, h2d_copy
 from repro.gpu.um import UnifiedMemoryManager
 from repro.graph.compressed import CompressedCSRGraph
+from repro.graph.csc import CSCGraph
 from repro.graph.csr import CSRGraph
 from repro.utils.ragged import ragged_gather_indices
 from repro.utils.sorting import sorted_unique
@@ -67,8 +70,8 @@ class _FrontierExpansion:
     """Memoized label-independent expansion of one frontier.
 
     Every field is a pure function of (topology, config, active-set
-    content, array placement): the shadow slices, their flat CSR edge
-    indices, neighbor ids, sorted unique destinations, per-edge weights
+    content, array placement): the shadow slices, their neighbor ids,
+    sorted unique destinations, per-edge weights
     and the kernel's :class:`~repro.gpu.traceplan.TracePlan` — in the
     spirit of :meth:`~repro.core.udc.ShadowTable.select`, but on demand
     and for every per-iteration derivation, not just the degree cut.
@@ -86,15 +89,14 @@ class _FrontierExpansion:
     """
 
     __slots__ = (
-        "shadows", "ids64", "edge_idx", "nbr", "dests", "w_per_edge",
+        "shadows", "ids64", "nbr", "dests", "w_per_edge",
         "trace_plan", "src_ids", "active_bytes",
     )
 
-    def __init__(self, *, shadows, ids64, edge_idx, nbr, dests, w_per_edge,
+    def __init__(self, *, shadows, ids64, nbr, dests, w_per_edge,
                  active_bytes=b""):
         self.shadows = shadows
         self.ids64 = ids64
-        self.edge_idx = edge_idx
         self.nbr = nbr
         self.dests = dests
         self.w_per_edge = w_per_edge
@@ -105,8 +107,8 @@ class _FrontierExpansion:
     @property
     def nbytes(self) -> int:
         total = (
-            self.shadows.nbytes + self.ids64.nbytes + self.edge_idx.nbytes
-            + self.nbr.nbytes + self.dests.nbytes + len(self.active_bytes)
+            self.shadows.nbytes + self.ids64.nbytes + self.nbr.nbytes
+            + self.dests.nbytes + len(self.active_bytes)
         )
         if self.w_per_edge is not None:
             total += self.w_per_edge.nbytes
@@ -125,6 +127,7 @@ class _LabelPayload:
     span = "query"
     buffer = "labels"
     lanes = 0
+    can_pull = False
 
     def __init__(self, problem: TraversalProblem, source: int,
                  target: int | None):
@@ -152,6 +155,9 @@ class _LabelPayload:
         seeds = self.problem.initial_frontier(len(self.labels), self.source)
         self.visited[seeds] = True
         return seeds
+
+    def pulls(self, active, offsets) -> bool:
+        return False
 
     def step(self, entry: _FrontierExpansion, active, iteration: int):
         labels = self.labels
@@ -286,6 +292,9 @@ class EngineSession:
         self._labels_arr: DeviceArray | None = None
         self._wave_masks_arr: DeviceArray | None = None
         self._parents_arr: DeviceArray | None = None
+        self._csc: CSCGraph | None = None  # placed only if a payload can pull
+        self._csc_offsets_arr: DeviceArray | None = None
+        self._csc_rows_arr: DeviceArray | None = None
         self._frontier: FrontierBuffers | None = None
         self._shadow_table = None
         self._prefetched: set[str] = set()
@@ -340,7 +349,8 @@ class EngineSession:
 
     def _topo_arrays(self) -> list[DeviceArray]:
         return [
-            a for a in (self._offsets_arr, self._cols_arr, self._weights_arr)
+            a for a in (self._offsets_arr, self._cols_arr, self._weights_arr,
+                        self._csc_offsets_arr, self._csc_rows_arr)
             if a is not None
         ]
 
@@ -398,6 +408,8 @@ class EngineSession:
         timeline: Timeline,
         clock: float,
         tr=None,
+        *,
+        pull: bool = False,
     ) -> float:
         """Allocate + install topology arrays still missing for ``problem``.
 
@@ -406,6 +418,7 @@ class EngineSession:
         offsets under ``row_offsets``, so every downstream consumer
         (trace plans, UM residency, transfer accounting) sizes itself
         off the bytes that would actually move on real hardware.
+        ``pull`` adds the in-edge CSC, dense whatever the encoding.
         """
         csr = self.csr
         kind = self._topo_kind()
@@ -426,6 +439,15 @@ class EngineSession:
                 "edge_weights", csr.edge_weights, kind=kind
             )
             new.append(self._weights_arr)
+        if pull and self._csc is None:
+            self._csc = CSCGraph.from_csr(csr)
+            self._csc_offsets_arr = self.memory.alloc(
+                "csc_offsets", self._csc.col_offsets, kind=kind
+            )
+            self._csc_rows_arr = self.memory.alloc(
+                "csc_rows", self._csc.row_indices, kind=kind
+            )
+            new += [self._csc_offsets_arr, self._csc_rows_arr]
         if new:
             clock = self._install(new, prof, timeline, clock, tr)
         return clock
@@ -554,20 +576,117 @@ class EngineSession:
             raise SessionClosedError("session is closed")
 
     def _adj_byte_ranges(
-        self, starts: np.ndarray, degrees: np.ndarray
+        self, starts: np.ndarray, degrees: np.ndarray, dense: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """Resident-topology byte ranges backing the adjacency slices
         ``[start, start + degree)`` — varint payload bytes for a
         compressed session, ``4 * start / 4 * degree`` dense words
         otherwise.  This is the single point where every out-of-core
         placement (UM faulting, zero-copy, direct access) learns how
-        many bytes a frontier expansion actually moves."""
-        if self.compressed:
+        many bytes a frontier expansion actually moves.  ``dense`` asks
+        for the dense words whatever the encoding (the CSC's slices)."""
+        if self.compressed and not dense:
             return self.topology.edge_byte_ranges(starts, degrees)
         return (
             np.asarray(starts, dtype=np.int64) * 4,
             np.asarray(degrees, dtype=np.int64) * 4,
         )
+
+    def _topology_traffic(
+        self, offsets_arr: DeviceArray, adj_arr: DeviceArray,
+        weights_arr: DeviceArray | None, ids, starts, degrees, *,
+        dense: bool, prof: Profiler, timeline: Timeline, clock: float, tr,
+        iteration: int, oversubscribed: bool,
+    ) -> tuple[float, int, float]:
+        """Per-placement topology traffic of one iteration: the kernel
+        reads ``ids``' entries of ``offsets_arr`` and the slices
+        ``[start, start + degree)`` of ``adj_arr`` (and of
+        ``weights_arr``, dense float32 whatever the encoding).  Push
+        passes the CSR and the shadow slices, pull the CSC and the
+        scanned in-edge slices (``dense``).
+
+        Returns ``(migration_ms, migration_bytes, pcie_ms)``: UM page
+        migration, which stalls the kernel, and zero-copy or
+        direct-access reads, which are the kernel's own pipelined loads.
+        """
+        spec = self.device
+        mode = self.config.memory_mode
+        sliced = len(starts) > 0
+        on_demand = mode is MemoryMode.UM_ON_DEMAND
+        if not (on_demand
+                or sliced and (mode.host_resident or oversubscribed)):
+            return 0.0, 0, 0.0
+        off_item = offsets_arr.itemsize
+        ids64 = np.asarray(ids, dtype=np.int64)
+        off_lens = np.full(len(ids64), 2 * off_item, dtype=np.int64)
+        if sliced:
+            adj_starts, adj_lens = self._adj_byte_ranges(starts, degrees,
+                                                         dense)
+        if mode is MemoryMode.ZERO_COPY:
+            # Every topology read crosses PCIe, every iteration, at the
+            # poor efficiency of fine-grained bus reads.  This is what
+            # makes UM strictly better for read-only topology (Section
+            # IV-B).  Compressed topology shrinks the adjacency stream to
+            # its payload bytes.
+            nbytes = len(ids64) * 2 * off_item + int(adj_lens.sum())
+            if weights_arr is not None:
+                nbytes += int(degrees.sum()) * 4
+            zero_copy_ms = spec.bytes_time_ms(
+                nbytes, spec.pcie_bandwidth_gbps * 0.35
+            )
+            timeline.add("transfer", clock, clock + zero_copy_ms,
+                         nbytes=nbytes, label=f"zerocopy-{iteration}")
+            if tr is not None:
+                tr.emit("zerocopy", "transfer", zero_copy_ms, t_ms=clock,
+                        nbytes=float(nbytes))
+            return 0.0, 0, zero_copy_ms
+        if mode is MemoryMode.DIRECT_ACCESS:
+            # EMOGI-style direct access: deduplicated 128-byte sector
+            # reads covering exactly the offsets entries and adjacency
+            # bytes this expansion reads — never a whole 4 KiB UM page.
+            # Base addresses keep the arrays' sectors distinct.
+            range_starts = [offsets_arr.base_address + ids64 * off_item,
+                            adj_arr.base_address + adj_starts]
+            range_lens = [off_lens, adj_lens]
+            if weights_arr is not None:
+                range_starts.append(weights_arr.base_address
+                                    + starts.astype(np.int64) * 4)
+                range_lens.append(degrees.astype(np.int64) * 4)
+            if tr is not None:
+                tr.cursor_ms = clock
+            direct_ms, direct_bytes = direct_access_read(
+                spec, prof,
+                np.concatenate(range_starts), np.concatenate(range_lens),
+                injector=self.injector, tracer=tr,
+                label=f"direct-access-{iteration}",
+            )
+            if direct_ms:
+                timeline.add("transfer", clock, clock + direct_ms,
+                             nbytes=direct_bytes, label=f"direct-{iteration}")
+            return 0.0, 0, direct_ms
+        # On-demand UM faults in the pages this iteration reads; a
+        # prefetched but oversubscribed placement re-faults its evicted
+        # adjacency pages.  Migration overlaps the kernel, so its trace
+        # events tile from the iteration start, not from the cursor's
+        # post-transform position.
+        if tr is not None:
+            tr.cursor_ms = clock
+        um = self.um
+        batches = []
+        if on_demand:
+            batches.append(um.touch_byte_ranges(
+                offsets_arr, ids64 * off_item, off_lens, prof, tr
+            ))
+        if sliced:
+            batches.append(um.touch_byte_ranges(adj_arr, adj_starts,
+                                                adj_lens, prof, tr))
+            if weights_arr is not None:
+                batches.append(um.touch_byte_ranges(
+                    weights_arr, starts.astype(np.int64) * 4,
+                    degrees.astype(np.int64) * 4, prof, tr,
+                ))
+        return (sum(b.time_ms for b in batches),
+                sum(b.bytes_moved for b in batches), 0.0)
 
     # ------------------------------------------------------------------
     # Frontier memo
@@ -757,9 +876,14 @@ class EngineSession:
         placement and prefetch, the frontier memo, the UDC transform,
         per-placement topology traffic (UM faults, zero-copy, direct
         access), edge expansion, the kernel's ``TracePlan`` and cost,
-        the overlap rule, stats, spans and the final d2h.  ``payload``
-        owns the rest — a :class:`_LabelPayload` for a query, a lane-mask
-        payload for a wave (:mod:`repro.core.msbfs`) — through this
+        the overlap rule, stats, spans and the final d2h.  An iteration
+        either pushes (UDC shadow slices of the frontier's out-edges) or
+        pulls (the unvisited vertices' in-edge slices of the CSC, with
+        no memo and no transform kernel); from the slices on, both run
+        the same code.  ``payload`` owns the rest — a
+        :class:`_LabelPayload` for a query, a lane-mask payload for a
+        wave (:mod:`repro.core.msbfs`), a push/pull payload for
+        direction-optimized BFS (:mod:`repro.core.dobfs`) — through this
         protocol:
 
         * ``problem``: drives placement (weights), the kernel's
@@ -770,8 +894,13 @@ class EngineSession:
         * ``place(session)``: allocate the device operand the kernel
           gathers per edge and return it;
         * ``seeds()``: the first frontier;
+        * ``pulls(active, offsets)``: whether this iteration pulls;
+          only a ``can_pull`` payload (the session places the CSC) may;
         * ``step(entry, active, iteration)``: propagate over one memoized
-          expansion; returns ``(updates, changed, newly_visited)``;
+          push expansion; returns ``(updates, changed, newly_visited)``;
+        * ``pull(ids, degrees, in_nbrs, iteration)``: the pull step over
+          the in-edges of the unvisited vertices ``ids`` (``visited`` is
+          false); returns ``(scanned edge counts, settled vertices)``;
         * ``done()``: stop early after an iteration.
 
         Returns the measurement fields shared by
@@ -813,7 +942,8 @@ class EngineSession:
             )
 
         # --- topology placement (first query only) -----------------------
-        clock = self._place_topology(problem, prof, timeline, clock, tr)
+        clock = self._place_topology(problem, prof, timeline, clock, tr,
+                                     pull=payload.can_pull)
         offsets_arr = self._offsets_arr
         cols_arr = self._cols_arr
         weights_arr = self._weights_arr if problem.needs_weights else None
@@ -863,184 +993,102 @@ class EngineSession:
                 )
             active = frontier.active
             frontier.reset()  # the paper's per-iteration reset-and-reuse
+            pulling = payload.pulls(active, offsets)
 
             it_span = None
             if tr is not None:
                 it_span = tr.start("iteration", "engine", clock,
-                                   index=iteration, active=len(active))
+                                   index=iteration, active=len(active),
+                                   **({"direction": "pull"} if pulling
+                                      else {}))
                 tr.cursor_ms = clock
 
-            # Frontier memo: an already-seen active set reuses its whole
-            # label-independent expansion (degree cut, edge gather, trace
-            # plan).  The transform kernel below still runs — its cache
-            # traffic and cost are paid every iteration either way.
-            entry = key = None
-            active_bytes = b""
-            if cfg.frontier_memo_entries > 0:
-                if self.injector is not None:
-                    self.injector.on_memo_lookup(self)
-                active_bytes = np.ascontiguousarray(active).tobytes()
-                key = self._memo_key(
-                    active_bytes, len(active), operand, weights_arr,
-                    wave_lanes=payload.lanes,
-                )
-                entry = self._memo_get(key, active_bytes)
-            memo_hit = entry is not None
-
-            # actSet2virtActSet kernel: gather offsets, emit 3-tuples —
-            # or, out-of-core, a plain range gather from the shadow table.
-            if shadow_table is not None:
-                shadows = entry.shadows if entry is not None \
-                    else shadow_table.select(active)
-                transform = simulate_streaming_kernel(
-                    spec, caches,
-                    read_bytes=2 * len(active) * 4,
-                    write_bytes=len(shadows) * 4,
-                    n_threads=len(active),
-                    instr_per_thread=8.0,
-                    tracer=tr, trace_name="transform",
-                )
+            # Each direction yields the vertex ids whose offsets the
+            # kernel reads and the edge slices ``[start, start + degree)``
+            # it scans; topology traffic, kernel cost, overlap, stats and
+            # spans below are shared.
+            entry = None
+            if pulling:
+                # Bottom-up (Beamer): every unvisited vertex scans its
+                # in-edges in the CSC for a parent on the current level;
+                # no memo (the unvisited set never repeats), no transform.
+                transform_ms = 0.0
+                csc = self._csc
+                ids = np.flatnonzero(~payload.visited)
+                starts = csc.col_offsets[ids].astype(np.int64)
+                degrees = csc.col_offsets[ids + 1].astype(np.int64) - starts
+                off_arr, adj_arr, w_arr = (self._csc_offsets_arr,
+                                           self._csc_rows_arr, None)
+                if len(ids):
+                    edge_idx = ragged_gather_indices(starts, degrees)
+                    degrees, changed = payload.pull(
+                        ids, degrees,
+                        csc.row_indices[edge_idx].astype(np.int64), iteration,
+                    )
+                    attempted = newly = len(changed)
+                    edge_idx = ragged_gather_indices(starts, degrees)
+                    nbr = csc.row_indices[edge_idx].astype(np.int64)
             else:
-                shadows = entry.shadows if entry is not None \
-                    else degree_cut(active, offsets, cfg.degree_limit)
-                transform = simulate_streaming_kernel(
-                    spec, caches,
-                    read_bytes=len(active) * 4,
-                    write_bytes=3 * len(shadows) * 4,
-                    n_threads=len(active),
-                    instr_per_thread=14.0,
-                    scatter_base_address=offsets_arr.base_address,
-                    scatter_indices=np.asarray(active, dtype=np.int64),
-                    tracer=tr, trace_name="transform",
-                )
-            prof.record_kernel(transform.counters)
-            transform_ms = transform.time_ms
-            if check_udc_partition is not None:
-                check_udc_partition(shadows, active, offsets, cfg.degree_limit)
+                # Frontier memo: an already-seen active set reuses its
+                # whole label-independent expansion (degree cut, edge
+                # gather, trace plan).  The transform kernel below still
+                # runs — its cache traffic and cost are paid every
+                # iteration either way.
+                key = None
+                active_bytes = b""
+                if cfg.frontier_memo_entries > 0:
+                    if self.injector is not None:
+                        self.injector.on_memo_lookup(self)
+                    active_bytes = np.ascontiguousarray(active).tobytes()
+                    key = self._memo_key(
+                        active_bytes, len(active), operand, weights_arr,
+                        wave_lanes=payload.lanes,
+                    )
+                    entry = self._memo_get(key, active_bytes)
+                memo_hit = entry is not None
 
-            # On-demand UM: fault in the pages this iteration reads.
-            migration_ms = 0.0
-            migration_bytes = 0
-            zero_copy_ms = 0.0
-            direct_ms = 0.0
-            direct_bytes = 0
-            if cfg.memory_mode is MemoryMode.ZERO_COPY and len(shadows):
-                # Every topology read crosses PCIe, every iteration, at
-                # the poor efficiency of fine-grained bus reads.  This is
-                # what makes UM strictly better for read-only topology
-                # (Section IV-B).  Compressed topology shrinks the
-                # adjacency stream to its payload bytes; weights stay
-                # dense.
-                _, zc_lens = self._adj_byte_ranges(
-                    shadows.starts, shadows.degrees
-                )
-                zc_bytes = (len(active) * 2 * offsets_arr.itemsize
-                            + int(zc_lens.sum()))
-                if weights_arr is not None:
-                    zc_bytes += shadows.total_edges * 4
-                zero_copy_ms = spec.bytes_time_ms(
-                    zc_bytes, spec.pcie_bandwidth_gbps * 0.35
-                )
-                timeline.add("transfer", clock, clock + zero_copy_ms,
-                             nbytes=zc_bytes, label=f"zerocopy-{iteration}")
-                if tr is not None:
-                    tr.emit("zerocopy", "transfer", zero_copy_ms, t_ms=clock,
-                            nbytes=float(zc_bytes))
-            if cfg.memory_mode is MemoryMode.DIRECT_ACCESS and len(shadows):
-                # EMOGI-style direct access: the kernel's topology loads
-                # cross PCIe as deduplicated 128-byte sector reads
-                # covering exactly the offsets entries and adjacency
-                # bytes this frontier expands — never a whole 4 KiB UM
-                # page.  Base addresses keep the three arrays' sectors
-                # distinct.
-                off_item = offsets_arr.itemsize
-                ids64 = np.asarray(active, dtype=np.int64)
-                range_starts = [offsets_arr.base_address + ids64 * off_item]
-                range_lens = [np.full(len(ids64), 2 * off_item,
-                                      dtype=np.int64)]
-                adj_starts, adj_lens = self._adj_byte_ranges(
-                    shadows.starts, shadows.degrees
-                )
-                range_starts.append(cols_arr.base_address + adj_starts)
-                range_lens.append(adj_lens)
-                if weights_arr is not None:
-                    range_starts.append(
-                        weights_arr.base_address
-                        + shadows.starts.astype(np.int64) * 4
+                # actSet2virtActSet kernel: gather offsets, emit 3-tuples
+                # — or, out-of-core, a plain range gather from the shadow
+                # table.
+                if shadow_table is not None:
+                    shadows = entry.shadows if entry is not None \
+                        else shadow_table.select(active)
+                    transform = simulate_streaming_kernel(
+                        spec, caches,
+                        read_bytes=2 * len(active) * 4,
+                        write_bytes=len(shadows) * 4,
+                        n_threads=len(active),
+                        instr_per_thread=8.0,
+                        tracer=tr, trace_name="transform",
                     )
-                    range_lens.append(shadows.degrees.astype(np.int64) * 4)
-                if tr is not None:
-                    tr.cursor_ms = clock
-                direct_ms, direct_bytes = direct_access_read(
-                    spec, prof,
-                    np.concatenate(range_starts),
-                    np.concatenate(range_lens),
-                    injector=self.injector, tracer=tr,
-                    label=f"direct-access-{iteration}",
-                )
-                if direct_ms:
-                    timeline.add("transfer", clock, clock + direct_ms,
-                                 nbytes=direct_bytes,
-                                 label=f"direct-{iteration}")
-            if um is not None and cfg.memory_mode is MemoryMode.UM_ON_DEMAND:
-                # Migration overlaps the kernel, so its trace events tile
-                # from the iteration start, not from the cursor's
-                # post-transform position.
-                if tr is not None:
-                    tr.cursor_ms = clock
-                off_item = offsets_arr.itemsize
-                batches = [
-                    um.touch_byte_ranges(
-                        offsets_arr,
-                        np.asarray(active, dtype=np.int64) * off_item,
-                        np.full(len(active), 2 * off_item, dtype=np.int64),
-                        prof, tr,
+                else:
+                    shadows = entry.shadows if entry is not None \
+                        else degree_cut(active, offsets, cfg.degree_limit)
+                    transform = simulate_streaming_kernel(
+                        spec, caches,
+                        read_bytes=len(active) * 4,
+                        write_bytes=3 * len(shadows) * 4,
+                        n_threads=len(active),
+                        instr_per_thread=14.0,
+                        scatter_base_address=offsets_arr.base_address,
+                        scatter_indices=np.asarray(active, dtype=np.int64),
+                        tracer=tr, trace_name="transform",
                     )
-                ]
-                if len(shadows):
-                    starts_b, lens_b = self._adj_byte_ranges(
-                        shadows.starts, shadows.degrees
-                    )
-                    batches.append(
-                        um.touch_byte_ranges(cols_arr, starts_b, lens_b,
-                                             prof, tr)
-                    )
-                    if weights_arr is not None:
-                        # Weights stay dense float32 whatever the
-                        # topology encoding.
-                        batches.append(
-                            um.touch_byte_ranges(
-                                weights_arr,
-                                shadows.starts.astype(np.int64) * 4,
-                                shadows.degrees.astype(np.int64) * 4,
-                                prof, tr,
-                            )
-                        )
-                migration_ms = sum(b.time_ms for b in batches)
-                migration_bytes = sum(b.bytes_moved for b in batches)
-            elif um is not None and cfg.memory_mode is MemoryMode.UM_PREFETCH \
-                    and oversubscribed and len(shadows):
-                # Prefetched but oversubscribed: evicted pages re-fault.
-                if tr is not None:
-                    tr.cursor_ms = clock
-                starts_b, lens_b = self._adj_byte_ranges(
-                    shadows.starts, shadows.degrees
-                )
-                batches = [um.touch_byte_ranges(cols_arr, starts_b, lens_b,
-                                                prof, tr)]
-                if weights_arr is not None:
-                    batches.append(
-                        um.touch_byte_ranges(
-                            weights_arr,
-                            shadows.starts.astype(np.int64) * 4,
-                            shadows.degrees.astype(np.int64) * 4,
-                            prof, tr,
-                        )
-                    )
-                migration_ms = sum(b.time_ms for b in batches)
-                migration_bytes = sum(b.bytes_moved for b in batches)
+                prof.record_kernel(transform.counters)
+                transform_ms = transform.time_ms
+                if check_udc_partition is not None:
+                    check_udc_partition(shadows, active, offsets,
+                                        cfg.degree_limit)
+                ids, starts, degrees = active, shadows.starts, shadows.degrees
+                off_arr, adj_arr, w_arr = offsets_arr, cols_arr, weights_arr
 
-            if len(shadows) == 0:
+            migration_ms, migration_bytes, pcie_ms = self._topology_traffic(
+                off_arr, adj_arr, w_arr, ids, starts, degrees,
+                dense=pulling, prof=prof, timeline=timeline, clock=clock,
+                tr=tr, iteration=iteration, oversubscribed=oversubscribed,
+            )
+
+            if len(starts) == 0:
                 clock += transform_ms
                 stats.record(IterationStats(
                     index=iteration, active_vertices=len(active),
@@ -1053,49 +1101,61 @@ class EngineSession:
                 iteration += 1
                 continue
 
-            # --- functional step (exact propagation) ----------------------
-            if entry is None:
-                edge_idx = ragged_gather_indices(
-                    shadows.starts, shadows.degrees
+            if pulling:
+                # Pull threads exit at their first parent, which defeats
+                # SMP's fixed-length prefetch; each reads one act_set word.
+                launch = dict(
+                    adj_array=adj_arr, neighbor_ids=nbr,
+                    meta_array=frontier.act_set, meta_words_per_thread=1,
+                    smp=False, instr_per_edge=7.0,
+                    threads_per_block=cfg.threads_per_block,
                 )
-                nbr = cols[edge_idx].astype(np.int64)
-                entry = _FrontierExpansion(
-                    shadows=shadows,
-                    ids64=shadows.ids.astype(np.int64),
-                    edge_idx=edge_idx,
-                    nbr=nbr,
-                    dests=sorted_unique(nbr),
-                    w_per_edge=(
-                        weights[edge_idx] if weights is not None else None
-                    ),
-                    active_bytes=active_bytes,
+            else:
+                # --- functional step (exact propagation) ------------------
+                if entry is None:
+                    edge_idx = ragged_gather_indices(starts, degrees)
+                    nbr = cols[edge_idx].astype(np.int64)
+                    entry = _FrontierExpansion(
+                        shadows=shadows, ids64=shadows.ids.astype(np.int64),
+                        nbr=nbr, dests=sorted_unique(nbr),
+                        w_per_edge=(
+                            weights[edge_idx] if weights is not None else None
+                        ),
+                        active_bytes=active_bytes,
+                    )
+                    if key is not None:
+                        self._memo_put(key, entry)
+                attempted, changed, newly = payload.step(
+                    entry, active, iteration
                 )
-                if key is not None:
-                    self._memo_put(key, entry)
-            attempted, changed, newly = payload.step(entry, active, iteration)
+                # The trace plan is built for exactly this launch's arrays.
+                launch = dict(
+                    adj_array=cols_arr, neighbor_ids=entry.nbr,
+                    weight_array=weights_arr,
+                    meta_array=frontier.virt_act_set, meta_words_per_thread=3,
+                    smp=smp,
+                )
+                if entry.trace_plan is None:
+                    smp_plan = (
+                        plan_prefetch(shadows, offsets, cfg.degree_limit)
+                        if smp else None
+                    )
+                    entry.trace_plan = gpukernel.build_vertex_trace(
+                        spec, starts=starts, degrees=degrees,
+                        label_array=operand,
+                        smp_planned_words=(
+                            smp_plan.planned_words if smp_plan else None
+                        ),
+                        trace_cap=gpukernel.TRACE_CAP, **launch,
+                    )
+                launch.update(
+                    degree_limit=cfg.degree_limit,
+                    instr_per_edge=problem.instr_per_edge,
+                    threads_per_block=self._threads_per_block,
+                    plan=entry.trace_plan,
+                )
 
             # --- kernel cost --------------------------------------------
-            if entry.trace_plan is None:
-                smp_plan = (
-                    plan_prefetch(shadows, offsets, cfg.degree_limit)
-                    if smp else None
-                )
-                entry.trace_plan = gpukernel.build_vertex_trace(
-                    spec,
-                    starts=shadows.starts,
-                    degrees=shadows.degrees,
-                    adj_array=cols_arr,
-                    neighbor_ids=entry.nbr,
-                    label_array=operand,
-                    weight_array=weights_arr,
-                    meta_array=frontier.virt_act_set,
-                    meta_words_per_thread=3,
-                    smp=smp,
-                    smp_planned_words=(
-                        smp_plan.planned_words if smp_plan else None
-                    ),
-                    trace_cap=gpukernel.TRACE_CAP,
-                )
             if self.injector is not None:
                 # The ECC check point: an injected bit flip lands in the
                 # device operand and aborts the launch with a typed
@@ -1105,22 +1165,8 @@ class EngineSession:
                 # The vertex kernel issues after the transform kernel.
                 tr.cursor_ms = clock + transform_ms
             timing = simulate_vertex_kernel(
-                spec, caches,
-                starts=shadows.starts,
-                degrees=shadows.degrees,
-                adj_array=cols_arr,
-                neighbor_ids=entry.nbr,
-                label_array=operand,
-                weight_array=weights_arr,
-                meta_array=frontier.virt_act_set,
-                meta_words_per_thread=3,
-                smp=smp,
-                degree_limit=cfg.degree_limit,
-                updates=attempted,
-                instr_per_edge=problem.instr_per_edge,
-                threads_per_block=self._threads_per_block,
-                plan=entry.trace_plan,
-                tracer=tr,
+                spec, caches, starts=starts, degrees=degrees,
+                label_array=operand, updates=attempted, tracer=tr, **launch,
             )
             prof.record_kernel(timing.counters)
             kernel_ms = timing.time_ms
@@ -1139,23 +1185,23 @@ class EngineSession:
                 timeline.add("compute", clock, clock + iter_ms)
                 timeline.add("transfer", clock, clock + migration_ms,
                              nbytes=migration_bytes, label=f"iter-{iteration}")
-            elif zero_copy_ms > 0 or direct_ms > 0:
+            elif pcie_ms > 0:
                 # Zero-copy and direct-access reads are the kernel's own
                 # loads: fully pipelined, so the slower of the two
-                # pipelines governs.  At most one of the two is nonzero
-                # (they are exclusive placements).
-                iter_ms = max(compute_ms, zero_copy_ms + direct_ms)
+                # pipelines governs.
+                iter_ms = max(compute_ms, pcie_ms)
                 timeline.add("compute", clock, clock + iter_ms)
             else:
                 iter_ms = compute_ms
                 timeline.add("compute", clock, clock + compute_ms)
             clock += iter_ms
 
+            edges = int(degrees.sum())
             stats.record(IterationStats(
                 index=iteration,
                 active_vertices=len(active),
-                shadow_vertices=len(shadows),
-                edges_scanned=shadows.total_edges,
+                shadow_vertices=len(starts),
+                edges_scanned=edges,
                 updates=attempted,
                 newly_visited=newly,
                 kernel_ms=kernel_ms,
@@ -1166,9 +1212,10 @@ class EngineSession:
             if it_span is not None:
                 tr.end(
                     it_span, clock,
-                    shadows=len(shadows), edges=shadows.total_edges,
+                    shadows=len(starts), edges=edges,
                     updates=attempted, newly_visited=newly,
-                    memo="hit" if memo_hit else "miss",
+                    **({} if pulling
+                       else {"memo": "hit" if memo_hit else "miss"}),
                 )
 
             frontier.publish(changed)

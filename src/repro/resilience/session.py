@@ -380,8 +380,8 @@ class ResilientSession:
         Returns a :class:`RunOutcome` whose ``result`` is a
         :class:`~repro.core.msbfs.WaveResult`; per-source levels are
         bit-identical whichever rung served them (the cpu_oracle floor
-        included, labels-wise — its timings are host wall time, like
-        :meth:`run`'s oracle).
+        included; its cost is the sum of the lanes' modelled CPU
+        traversals).
         """
         from repro.core import msbfs
 
@@ -537,25 +537,36 @@ class ResilientSession:
                 tr.unwind(tr.max_end_ms, error=True)
             raise
 
-    def _cpu_oracle_wave(self, sources, tracer=None):
-        """Exact host MSBFS: one serial oracle traversal per lane,
-        stacked into a :class:`~repro.core.msbfs.WaveResult`."""
-        from repro.core.msbfs import WaveResult
+    def _cpu_oracle(self, problem: TraversalProblem, source: int):
+        """Exact labels from the serial oracle, charged with the
+        Ligra-like CPU baseline's deterministic cost model
+        (:mod:`repro.baselines.cpu_ligra`): the floor's clock is a pure
+        function of (graph, problem, source), like every other rung's."""
+        # Imported lazily: repro.testing.differential imports the engine.
+        from repro.baselines.cpu_ligra import LigraLikeCPU
         from repro.testing.differential import oracle_labels
 
+        labels = oracle_labels(self.csr, problem.name, source)
+        return labels, LigraLikeCPU().run(self.csr, problem, source).total_ms
+
+    def _cpu_oracle_wave(self, sources, tracer=None):
+        """Exact host MSBFS: one serial oracle traversal per lane,
+        stacked into a :class:`~repro.core.msbfs.WaveResult`; the wave
+        costs the sum of its lanes' modelled CPU traversals."""
+        from repro.core.msbfs import WaveResult
+
         sources = np.asarray(sources, dtype=np.int64).ravel()
-        t0 = time.perf_counter()
-        levels = np.stack([
-            oracle_labels(self.csr, "bfs", int(s)) for s in sources
-        ])
-        wall_ms = (time.perf_counter() - t0) * 1e3
+        bfs = get_problem("bfs")
+        lanes = [self._cpu_oracle(bfs, int(s)) for s in sources]
+        levels = np.stack([labels for labels, _ in lanes])
+        cost_ms = sum(ms for _, ms in lanes)
         if tracer is not None:
-            tracer.emit("cpu_oracle", "resilience", wall_ms, t_ms=0.0,
-                        wall_time=True, lanes=len(sources))
+            tracer.emit("cpu_oracle", "resilience", cost_ms, t_ms=0.0,
+                        lanes=len(sources))
         return WaveResult(
             sources=sources,
             levels=levels,
-            total_ms=wall_ms,
+            total_ms=cost_ms,
             kernel_ms=0.0,
             transfer_ms=0.0,
             d2h_ms=0.0,
@@ -637,25 +648,19 @@ class ResilientSession:
         """The ladder's floor: exact serial traversal on the host.
 
         No simulated device is involved, so no injected fault can reach
-        it.  ``total_ms`` is *host* wall time (there is no simulated
-        clock to report); kernel/transfer times are zero.
+        it.  ``total_ms`` is the modelled CPU traversal time (see
+        :meth:`_cpu_oracle`); kernel/transfer times are zero.
         """
-        # Imported lazily: repro.testing.differential imports the engine.
-        from repro.testing.differential import oracle_labels
-
-        t0 = time.perf_counter()
-        labels = oracle_labels(self.csr, problem.name, source)
-        wall_ms = (time.perf_counter() - t0) * 1e3
+        labels, cost_ms = self._cpu_oracle(problem, source)
         if tracer is not None:
-            tracer.emit("cpu_oracle", "resilience", wall_ms, t_ms=0.0,
-                        wall_time=True)
+            tracer.emit("cpu_oracle", "resilience", cost_ms, t_ms=0.0)
         n = self.csr.num_vertices
         seeds = problem.initial_frontier(n, source)
         return TraversalResult(
             labels=labels,
             source=source,
             problem_name=problem.name,
-            total_ms=wall_ms,
+            total_ms=cost_ms,
             kernel_ms=0.0,
             transfer_ms=0.0,
             d2h_ms=0.0,

@@ -204,21 +204,21 @@ class HealthPlane:
 
     def classify(
         self, *, ok: bool, error_type: str | None,
-        faults: int, attempts: int, degraded: bool,
+        faults: int, attempts: int,
     ) -> str:
         """Bucket one serve: ``clean`` / ``tainted`` / ``bad`` (infra
         failure) / ``neutral`` (request-level failure, not the lane's
-        fault)."""
+        fault).  Degradation alone does not taint: a capacity OOM is a
+        property of graph and device, not of the lane."""
         if not ok:
             return "bad" if error_type in INFRA_ERRORS else "neutral"
-        if faults or attempts > 1 or degraded:
+        if faults or attempts > 1:
             return "tainted"
         return "clean"
 
     def observe(
         self, worker, *, ok: bool, error_type: str | None = None,
-        faults: int = 0, attempts: int = 1, degraded: bool = False,
-        t_ms: float = 0.0,
+        faults: int = 0, attempts: int = 1, t_ms: float = 0.0,
     ) -> list[HealthEvent]:
         """Fold one lane serve into the plane; returns the transitions it
         caused (possibly opening a breaker and swapping in a standby)."""
@@ -228,7 +228,7 @@ class HealthPlane:
         before = len(self.events)
         kind = self.classify(
             ok=ok, error_type=error_type, faults=faults,
-            attempts=attempts, degraded=degraded,
+            attempts=attempts,
         )
         if kind != "neutral":
             lane.observations += 1

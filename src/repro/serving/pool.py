@@ -208,7 +208,8 @@ class SessionPool:
         does the pool hold fewer than ``size`` live sessions.  The
         standby takes over the retired session's injector — its
         per-kind event counters and fired log — so a sustained fault
-        plan keeps draining across the swap instead of restarting.
+        plan keeps draining across the swap instead of restarting — and
+        its dead rungs, so it never re-pays a genuine capacity OOM.
         Returns the lane's new generation number.
         """
         if self._closed:
@@ -220,6 +221,7 @@ class SessionPool:
         old = worker.session
         standby = self._session(worker.index)
         standby.injector = old.injector
+        standby.dead_rungs = set(old.dead_rungs)
         worker.session = standby
         worker.generation += 1
         old.close()

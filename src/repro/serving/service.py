@@ -558,8 +558,7 @@ class TraversalService:
                 error_type=(
                     error.split(":", 1)[0] if error is not None else None
                 ),
-                faults=len(faults), attempts=attempts, degraded=degraded,
-                t_ms=finish,
+                faults=len(faults), attempts=attempts, t_ms=finish,
             )
         return responses
 
@@ -792,7 +791,7 @@ class TraversalService:
                     if response.error is not None else None
                 ),
                 faults=primary_faults, attempts=primary_attempts,
-                degraded=primary_degraded, t_ms=finish,
+                t_ms=finish,
             )
         return response
 

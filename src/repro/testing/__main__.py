@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "each case on a warm resident session, "
                            "etagraph-service through the multi-tenant "
                            "serving frontend, etagraph-msbfs through a "
-                           "packed multi-source wave")
+                           "packed multi-source wave, etagraph-dobfs "
+                           "through direction-optimized BFS")
     fuzz.add_argument("--no-metamorphic", action="store_true",
                       help="skip the metamorphic checks")
     fuzz.add_argument("-q", "--quiet", action="store_true",

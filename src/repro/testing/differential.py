@@ -304,6 +304,29 @@ def msbfs_engine(
     return run
 
 
+def dobfs_engine(
+    config: EtaGraphConfig | None = None, device: DeviceSpec = GTX_1080TI,
+) -> EngineFn:
+    """Direction-optimized BFS (:mod:`repro.core.dobfs`) as a
+    differential engine.  Its switch point (pull above ``|E| / 64``
+    frontier edges, push below ``|V| / 4`` vertices) is eager enough that
+    small fuzz graphs run both directions.  Non-BFS problems fall back to
+    a session query, as :func:`msbfs_engine` does."""
+    from repro.core.dobfs import direction_optimized_bfs
+    from repro.core.session import EngineSession
+
+    def run(csr: CSRGraph, problem_name: str, source: int) -> np.ndarray:
+        problem = get_problem(problem_name)
+        if problem.name != "bfs":
+            with EngineSession(csr, config, device) as session:
+                return session.query(problem, source).labels
+        return direction_optimized_bfs(
+            csr, source, alpha=64.0, beta=4.0, config=config, device=device,
+        ).labels
+
+    return run
+
+
 def baseline_engine(name: str, device: DeviceSpec = GTX_1080TI) -> EngineFn:
     """A Table III baseline as a pluggable differential engine."""
     from repro.baselines import get_framework
@@ -319,11 +342,13 @@ def baseline_engine(name: str, device: DeviceSpec = GTX_1080TI) -> EngineFn:
 #: enables by name: ``etagraph-session`` serves each case through a warm
 #: topology-resident session, ``etagraph-service`` through the full
 #: multi-tenant serving frontend, ``etagraph-msbfs`` through a packed
-#: multi-source wave (BFS cases) with the probe in the last lane.
+#: multi-source wave (BFS cases) with the probe in the last lane, and
+#: ``etagraph-dobfs`` through direction-optimized BFS (BFS cases).
 EXTRA_ENGINE_FACTORIES: dict = {
     "etagraph-session": session_engine,
     "etagraph-service": service_engine,
     "etagraph-msbfs": msbfs_engine,
+    "etagraph-dobfs": dobfs_engine,
 }
 
 

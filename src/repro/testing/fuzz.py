@@ -199,8 +199,8 @@ def run_fuzz(
     ``metamorphic_every``-th case additionally checks one random
     metamorphic relation.  ``engines`` names extra serving paths from
     :data:`~repro.testing.differential.EXTRA_ENGINE_FACTORIES`
-    (``etagraph-session``, ``etagraph-service``, ``etagraph-msbfs``)
-    that join every case
+    (``etagraph-session``, ``etagraph-service``, ``etagraph-msbfs``,
+    ``etagraph-dobfs``) that join every case
     under the case's random configuration.  Failures never stop the
     sweep — they are collected with their case number so ``seed`` +
     case count replays them.

@@ -6,7 +6,7 @@ The golden scenario is a 2-lane service with sustained transfer faults
 on lane 0 (drives one breaker trip and typed errors) and absorbed
 fault bursts on lane 1 (drives hedged requests), serving a three-tenant
 BFS mix — hedging AND a breaker trip, with ``allow_cpu_fallback=False``
-so no wall-clock ``cpu_oracle`` span can leak into the golden bytes.
+so failures surface as typed errors instead of ``cpu_oracle`` serves.
 
 Regenerate the golden files with ``REGEN_GOLDEN=1 python -m pytest
 tests/test_observability_serving.py``.

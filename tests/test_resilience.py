@@ -311,6 +311,33 @@ class TestRetryAndDegrade:
             outcome.labels, oracle_labels(skewed_graph, "bfs", 0)
         )
 
+    def test_cpu_oracle_rung_charges_modelled_cpu_time(self, skewed_graph):
+        # The floor's clock is the Ligra-like CPU cost model, not host
+        # wall time: forcing the rung twice charges the same total_ms,
+        # and a wave costs the sum of its lanes.
+        from repro.baselines.cpu_ligra import LigraLikeCPU
+
+        sources = [0, 3, 5]
+        charged = []
+        for _ in range(2):
+            rs = ResilientSession(
+                skewed_graph,
+                EtaGraphConfig(memory_mode=MemoryMode.DEVICE),
+                fault_plan=plan(FaultSpec("alloc_oom", at=0, count=10_000)),
+            )
+            with rs:
+                query = rs.run("bfs", 0)
+                wave = rs.run_wave(sources)
+            assert query.final_placement == "cpu_oracle"
+            assert wave.final_placement == "cpu_oracle"
+            charged.append((query.result.total_ms, wave.result.total_ms))
+        assert charged[0] == charged[1]
+        cpu = LigraLikeCPU()
+        assert charged[0][0] == cpu.run(skewed_graph, "bfs", 0).total_ms
+        assert charged[0][1] == sum(
+            cpu.run(skewed_graph, "bfs", s).total_ms for s in sources
+        )
+
     def test_cpu_fallback_can_be_disallowed(self, skewed_graph):
         rs = ResilientSession(
             skewed_graph,

@@ -42,6 +42,22 @@ def _sick_lane_service(graph, *, max_retries=0, health=None, **kwargs):
     )
 
 
+def _topology_sized_device():
+    """rmat(12, 40000) in DEVICE mode on a device whose memory holds the
+    topology arrays and nothing else (a genuine capacity OOM)."""
+    import dataclasses
+
+    from repro.core.config import EtaGraphConfig, MemoryMode
+    from repro.gpu.device import GTX_1080TI
+
+    graph = generators.rmat(12, 40000, seed=1)
+    device = dataclasses.replace(
+        GTX_1080TI, memory_capacity=graph.row_offsets.nbytes
+        + graph.column_indices.nbytes,
+    )
+    return graph, device, EtaGraphConfig(memory_mode=MemoryMode.DEVICE)
+
+
 class TestHealthPolicy:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -161,6 +177,37 @@ class TestBreakerLifecycle:
             assert lane.state == "closed"
             assert lane.closes >= 1
             assert lane.opens >= lane.closes
+
+    def test_capacity_oom_does_not_make_a_lane_sick(self):
+        # A device that holds only the topology: the device rung's OOM is
+        # genuine, every visit degrades to um_prefetch, and that is a
+        # property of graph and device, not of the lane.  No breaker
+        # opens and the brownout ladder stays at level 0.
+        graph, device, config = _topology_sized_device()
+        with TraversalService(
+            graph, config, device, pool_size=2, health=True,
+        ) as service:
+            responses = [
+                service.call(VisitRequest(source=i)) for i in range(8)
+            ]
+            assert all(r.ok for r in responses)
+            assert {r.placement for r in responses} == {"um_prefetch"}
+            assert all(r.degraded for r in responses)
+            assert [w.generation for w in service.pool.workers] == [0, 0]
+            assert service.health.level == 0
+
+    def test_standby_inherits_dead_rungs(self):
+        graph, device, config = _topology_sized_device()
+        with SessionPool(graph, config, device, size=1) as pool:
+            worker = pool.checkout()
+            first = worker.session.run("bfs", 0)
+            assert first.num_attempts == 2
+            assert worker.session.dead_rungs == {"device"}
+            pool.replace_session(worker)
+            assert worker.session.dead_rungs == {"device"}
+            after = worker.session.run("bfs", 1)
+            assert after.num_attempts == 1
+            assert after.final_placement == "um_prefetch"
 
     def test_min_active_floor_skips_quarantine(self, graph):
         # A 1-lane pool can't quarantine its only lane: the standby
